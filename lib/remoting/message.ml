@@ -62,64 +62,113 @@ let rec encode = function
         (Wire.Str "N" :: Wire.int n.nak_vm :: Wire.int n.nak_seq
         :: List.map (fun d -> Wire.I64 d) n.nak_digests)
 
-let rec decode data =
-  match Wire.decode data with
-  | Error e -> Error e
-  | Ok (Wire.Str "C" :: Wire.I64 seq :: Wire.I64 vm :: Wire.Str fn :: args) ->
-      Ok
-        (Call
-           {
-             call_seq = Int64.to_int seq;
-             call_vm = Int64.to_int vm;
-             call_fn = fn;
-             call_args = args;
-           })
-  | Ok (Wire.Str "R" :: Wire.I64 seq :: Wire.I64 status :: ret :: outs) ->
-      Ok
-        (Reply
-           {
-             reply_seq = Int64.to_int seq;
-             reply_status = Int64.to_int status;
-             reply_ret = ret;
-             reply_outs = outs;
-           })
-  | Ok (Wire.Str "G" :: frames) ->
-      let rec decode_calls acc = function
-        | [] -> Ok (Batch (List.rev acc))
-        | Wire.Blob frame :: rest -> (
-            match decode frame with
-            | Ok (Call c) -> decode_calls (c :: acc) rest
-            | Ok _ -> Error "batch frame is not a call"
-            | Error _ as e -> e)
-        | _ -> Error "malformed batch frame"
-      in
-      decode_calls [] frames
-  | Ok (Wire.Str "U" :: Wire.I64 vm :: Wire.I64 cb :: args) ->
-      Ok
-        (Upcall
-           { up_vm = Int64.to_int vm; up_cb = Int64.to_int cb; up_args = args })
-  | Ok (Wire.Str "S" :: Wire.I64 vm :: seqs) ->
-      let rec decode_seqs acc = function
-        | [] -> Ok (Skip { skip_vm = Int64.to_int vm; skip_seqs = List.rev acc })
-        | Wire.I64 s :: rest -> decode_seqs (Int64.to_int s :: acc) rest
-        | _ -> Error "malformed skip frame"
-      in
-      decode_seqs [] seqs
-  | Ok (Wire.Str "N" :: Wire.I64 vm :: Wire.I64 seq :: digests) ->
-      let rec decode_digests acc = function
-        | [] ->
-            Ok
-              (Nak
-                 {
-                   nak_vm = Int64.to_int vm;
-                   nak_seq = Int64.to_int seq;
-                   nak_digests = List.rev acc;
-                 })
-        | Wire.I64 d :: rest -> decode_digests (d :: acc) rest
-        | _ -> Error "malformed nak frame"
-      in
-      decode_digests [] digests
-  | Ok _ -> Error "malformed message frame"
+let malformed () = raise (Wire.Decode_error "malformed message frame")
+
+(* Seqs, VM ids and statuses must fit the native int: [Int64.to_int]
+   would wrap an out-of-range guest seq onto another one. *)
+let int_field r =
+  match Wire.read ~copy:true r with
+  | Wire.I64 _ as v -> (
+      match Wire.to_int v with
+      | Some n -> n
+      | None -> raise (Wire.Decode_error "integer field out of range"))
+  | _ -> malformed ()
+
+let int64_field r =
+  match Wire.read ~copy:true r with Wire.I64 d -> d | _ -> malformed ()
+
+let rec fields f r n acc =
+  if n = 0 then List.rev acc else fields f r (n - 1) (f r :: acc)
+
+(* One frame, read value by value from [r] to its end.  Batch members
+   are parsed in place inside the outer frame.  [~copy:false] skips the
+   payload bodies of arguments and reply values (see {!view}). *)
+let rec parse ~copy r =
+  let n = Wire.count r in
+  let at_least k = if n < k then malformed () in
+  at_least 1;
+  let frame =
+    match Wire.read ~copy:true r with
+    | Wire.Str "C" ->
+        at_least 4;
+        let call_seq = int_field r in
+        let call_vm = int_field r in
+        let call_fn =
+          match Wire.read ~copy:true r with
+          | Wire.Str fn -> fn
+          | _ -> malformed ()
+        in
+        let call_args = Wire.read_n ~copy r (n - 4) in
+        Call { call_seq; call_vm; call_fn; call_args }
+    | Wire.Str "R" ->
+        at_least 4;
+        let reply_seq = int_field r in
+        let reply_status = int_field r in
+        let reply_ret = Wire.read ~copy r in
+        let reply_outs = Wire.read_n ~copy r (n - 4) in
+        Reply { reply_seq; reply_status; reply_ret; reply_outs }
+    | Wire.Str "G" ->
+        let member r =
+          match parse ~copy (Wire.sub_frame r) with
+          | Call c -> c
+          | _ -> raise (Wire.Decode_error "batch frame is not a call")
+        in
+        Batch (fields member r (n - 1) [])
+    | Wire.Str "U" ->
+        at_least 3;
+        let up_vm = int_field r in
+        let up_cb = int_field r in
+        Upcall { up_vm; up_cb; up_args = Wire.read_n ~copy r (n - 3) }
+    | Wire.Str "S" ->
+        at_least 2;
+        let skip_vm = int_field r in
+        Skip { skip_vm; skip_seqs = fields int_field r (n - 2) [] }
+    | Wire.Str "N" ->
+        at_least 3;
+        let nak_vm = int_field r in
+        let nak_seq = int_field r in
+        Nak { nak_vm; nak_seq; nak_digests = fields int64_field r (n - 3) [] }
+    | _ -> malformed ()
+  in
+  Wire.finish r;
+  frame
+
+let decode data =
+  match parse ~copy:true (Wire.reader data) with
+  | t -> Ok t
+  | exception Wire.Decode_error e -> Error e
+
+(* --- router view ---------------------------------------------------- *)
+
+type call_view = {
+  cv_seq : int;
+  cv_vm : int;
+  cv_fn : string;
+  cv_args : int option list;
+}
+
+type view =
+  | Call_view of call_view
+  | Batch_view of call_view list
+  | Reply_view of { rv_seq : int; rv_status : int }
+  | Other_view
+
+let call_view c =
+  {
+    cv_seq = c.call_seq;
+    cv_vm = c.call_vm;
+    cv_fn = c.call_fn;
+    cv_args = List.map Wire.to_int c.call_args;
+  }
+
+let view data =
+  match parse ~copy:false (Wire.reader data) with
+  | Call c -> Ok (Call_view (call_view c))
+  | Batch calls -> Ok (Batch_view (List.map call_view calls))
+  | Reply r ->
+      Ok (Reply_view { rv_seq = r.reply_seq; rv_status = r.reply_status })
+  | Upcall _ | Skip _ | Nak _ -> Ok Other_view
+  | exception Wire.Decode_error e -> Error e
 
 let pp ppf = function
   | Call c ->

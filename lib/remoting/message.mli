@@ -40,5 +40,32 @@ type t =
           payload under the same seq *)
 
 val encode : t -> bytes
+
 val decode : bytes -> (t, string) result
+(** Total: a corrupt or truncated frame, or a seq, VM id or status
+    outside the native [int] range, yields [Error]. *)
+
+(** {2 Router view}
+
+    What the router reads of a frame: the header and the integer view
+    of each argument.  {!view} runs the same parse and checks as
+    {!decode}, so it accepts exactly the same frames, but it copies no
+    payload body.  A view holds no payloads, so it cannot be encoded. *)
+
+type call_view = {
+  cv_seq : int;
+  cv_vm : int;
+  cv_fn : string;
+  cv_args : int option list;
+      (** {!Wire.to_int} of each argument, in order: one per argument *)
+}
+
+type view =
+  | Call_view of call_view
+  | Batch_view of call_view list
+  | Reply_view of { rv_seq : int; rv_status : int }
+  | Other_view  (** a well-formed upcall, skip or nak frame *)
+
+val view : bytes -> (view, string) result
+
 val pp : Format.formatter -> t -> unit

@@ -169,30 +169,30 @@ let find_conn t vm_id = List.assoc_opt vm_id t.conns
 
 (* Verification: the call must name a spec'd function and carry exactly
    the marshalled argument count the plan prescribes. *)
-let verify t (c : Message.call) =
-  match Plan.find t.plan c.Message.call_fn with
+let verify t (c : Message.call_view) =
+  match Plan.find t.plan c.Message.cv_fn with
   | None -> Error Server.status_unknown_function
   | Some plan ->
-      if List.length c.Message.call_args <> List.length plan.Plan.cp_params
+      if List.length c.Message.cv_args <> List.length plan.Plan.cp_params
       then Error Server.status_bad_arguments
       else Ok plan
 
 (* Scalar environment for the plan's cost expressions, recovered from the
    marshalled arguments. *)
-let env_of_call (plan : Plan.call_plan) (c : Message.call) =
+let env_of_call (plan : Plan.call_plan) (c : Message.call_view) =
   List.fold_left2
     (fun env (name, action) v ->
-      match (action, Wire.to_int v) with
+      match (action, v) with
       | Plan.Pass_scalar, Some n -> (name, n) :: env
       | _ -> env)
-    [] plan.Plan.cp_params c.Message.call_args
+    [] plan.Plan.cp_params c.Message.cv_args
 
-let reject_call conn (c : Message.call) status =
-  Hashtbl.replace conn.rejected_status c.Message.call_seq status;
+let reject_call conn (c : Message.call_view) status =
+  Hashtbl.replace conn.rejected_status c.Message.cv_seq status;
   let reply =
     Message.Reply
       {
-        reply_seq = c.Message.call_seq;
+        reply_seq = c.Message.cv_seq;
         reply_status = status;
         reply_ret = Wire.Unit;
         reply_outs = [];
@@ -277,15 +277,13 @@ let spawn_egress t conn ep =
       let rec loop () =
         let data = Transport.recv ep in
         Vm.charge_bytes vm (Bytes.length data);
-        (match Message.decode data with
-        | Ok (Message.Reply r) ->
-            mark_replied conn r.Message.reply_seq;
+        (match Message.view data with
+        | Ok (Message.Reply_view { rv_seq; rv_status }) ->
+            mark_replied conn rv_seq;
             (* Feed the reply into this VM's error budget: fault
                statuses count against it; any other reply proves the
                service path healthy. *)
-            let faulty =
-              List.mem r.Message.reply_status conn.fault_statuses
-            in
+            let faulty = List.mem rv_status conn.fault_statuses in
             if faulty then conn.fault_replies <- conn.fault_replies + 1;
             (match conn.breaker with
             | Some b ->
@@ -298,7 +296,7 @@ let spawn_egress t conn ep =
                       (match was with
                       | Policy.Breaker.Open -> "open"
                       | _ -> "tripped open")
-                      r.Message.reply_status
+                      rv_status
                 end
                 else Policy.Breaker.record_success b
             | None -> ())
@@ -365,8 +363,8 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
            every call in the message (rejected ones included — their
            spans then close on the rejection reply).  Also advances the
            high-water seq used by [next_seq] after a re-steer. *)
-        let mark_in (c : Message.call) =
-          let seq = c.Message.call_seq in
+        let mark_in (c : Message.call_view) =
+          let seq = c.Message.cv_seq in
           if seq > conn.contig_seq then Hashtbl.replace conn.seen_ahead seq ();
           while Hashtbl.mem conn.seen_ahead (conn.contig_seq + 1) do
             Hashtbl.remove conn.seen_ahead (conn.contig_seq + 1);
@@ -374,7 +372,7 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
           done;
           match t.obs with
           | Some o ->
-              Obs.mark o ~vm:(Vm.id vm) ~seq:c.Message.call_seq
+              Obs.mark o ~vm:(Vm.id vm) ~seq:c.Message.cv_seq
                 Obs.M_router_in ~at:(Engine.now t.engine)
           | None -> ()
         in
@@ -390,7 +388,7 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
         in
         (* Verify and cost one call; policing happens per contained
            call so batching cannot dodge rate limits or quotas. *)
-        let police (c : Message.call) =
+        let police (c : Message.call_view) =
           match verify t c with
           | Error status ->
               t.rejected <- t.rejected + 1;
@@ -399,7 +397,7 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
           | Ok plan ->
               Vm.charge_call vm;
               record_trace t "vm%d %s seq=%d" (Vm.id vm)
-                c.Message.call_fn c.Message.call_seq;
+                c.Message.cv_fn c.Message.cv_seq;
               let env = env_of_call plan c in
               (match conn.bucket with
               | Some b -> Policy.Token_bucket.take b 1.0
@@ -421,15 +419,15 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
         (* Circuit-breaker admission: while this VM is quarantined its
            calls are rejected outright with a distinct status — they
            never reach the WFQ, so other VMs' service is unperturbed. *)
-        let admitted (c : Message.call) =
-          match Hashtbl.find_opt conn.rejected_status c.Message.call_seq with
+        let admitted (c : Message.call_view) =
+          match Hashtbl.find_opt conn.rejected_status c.Message.cv_seq with
           | Some status ->
               (* Retransmit of a seq this router already rejected (the
                  guest's copy of the rejection was lost): replay the
                  same verdict.  Forwarding instead would contradict the
                  Skip the backend consumed for this seq. *)
               record_trace_cat t "breaker" "vm%d reject replay seq=%d"
-                (Vm.id vm) c.Message.call_seq;
+                (Vm.id vm) c.Message.cv_seq;
               reject_call conn c status;
               None
           | None -> (
@@ -437,7 +435,7 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
               | Some b when not (Policy.Breaker.admit b) ->
                   t.quarantined <- t.quarantined + 1;
                   record_trace_cat t "breaker" "vm%d quarantined %s seq=%d"
-                    (Vm.id vm) c.Message.call_fn c.Message.call_seq;
+                    (Vm.id vm) c.Message.cv_fn c.Message.cv_seq;
                   reject_call conn c Server.status_vm_quarantined;
                   None
               | _ -> Some c)
@@ -457,25 +455,24 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
           go
         in
         let admit_and_police c =
-          let seq = c.Message.call_seq in
+          let seq = c.Message.cv_seq in
           conn.policing_seqs <- seq :: conn.policing_seqs;
           let verdict = admit_and_police c in
           conn.policing_seqs <- remove_one seq conn.policing_seqs;
           verdict
         in
-        (match Message.decode data with
+        (match Message.view data with
         | Error _ -> t.rejected <- t.rejected + 1
-        | Ok (Message.Reply _) | Ok (Message.Upcall _) | Ok (Message.Skip _)
-        | Ok (Message.Nak _) ->
-            (* Nak is server-to-guest only; a guest sending one is bogus. *)
+        | Ok (Message.Reply_view _) | Ok Message.Other_view ->
+            (* Replies, upcalls, skips and naks never come from a guest. *)
             t.rejected <- t.rejected + 1
-        | Ok (Message.Call c) -> (
+        | Ok (Message.Call_view c) -> (
             Vm.charge_bytes vm (Bytes.length data);
             mark_in c;
             match admit_and_police c with
-            | None -> send_skip conn [ c.Message.call_seq ]
-            | Some cost -> push_wfq ~cost data [ c.Message.call_seq ])
-        | Ok (Message.Batch calls) ->
+            | None -> send_skip conn [ c.Message.cv_seq ]
+            | Some cost -> push_wfq ~cost data [ c.Message.cv_seq ])
+        | Ok (Message.Batch_view calls) ->
             Vm.charge_bytes vm (Bytes.length data);
             List.iter mark_in calls;
             (* Police per contained call; every member is answered:
@@ -488,8 +485,8 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
             in
             let rejected_seqs =
               List.filter_map
-                (fun ((c : Message.call), v) ->
-                  if v = None then Some c.Message.call_seq else None)
+                (fun ((c : Message.call_view), v) ->
+                  if v = None then Some c.Message.cv_seq else None)
                 results
             in
             send_skip conn rejected_seqs;
@@ -506,17 +503,25 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
                 in
                 let seqs =
                   List.map
-                    (fun ((c : Message.call), _) -> c.Message.call_seq)
+                    (fun ((c : Message.call_view), _) -> c.Message.cv_seq)
                     accepted
                 in
                 let data =
                   if rejected_seqs = [] then data
                   else
-                    match accepted with
-                    | [ (c, _) ] -> Message.encode (Message.Call c)
-                    | _ ->
-                        Message.encode
-                          (Message.Batch (List.map fst accepted))
+                    (* Rebuild from the real payloads, which the view
+                       does not hold: this rare path decodes in full. *)
+                    match Message.decode data with
+                    | Ok (Message.Batch members) -> (
+                        let kept =
+                          List.filter_map
+                            (fun (m, (_, v)) -> Option.map (fun _ -> m) v)
+                            (List.combine members results)
+                        in
+                        match kept with
+                        | [ c ] -> Message.encode (Message.Call c)
+                        | _ -> Message.encode (Message.Batch kept))
+                    | _ -> assert false (* [view] accepted it as a batch *)
                 in
                 push_wfq ~cost data seqs));
         loop ()

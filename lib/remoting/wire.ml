@@ -77,157 +77,216 @@ let rec pp ppf = function
       Fmt.pf ppf "<cached %Lx %d>" bc_digest (Bytes.length bc_data)
   | Mapped_ref { mr_iova; mr_size } -> Fmt.pf ppf "<iova %Lx %d>" mr_iova mr_size
 
-(* Size of the encoded form, used for payload accounting. *)
+(* Size of the encoded form, used for payload accounting and to size
+   the frame [encode] writes. *)
 let rec encoded_size = function
   | Unit -> 1
   | I64 _ | F64 _ | Handle _ -> 9
   | Str s -> 5 + String.length s
   | Blob b -> 5 + Bytes.length b
-  | List vs -> 5 + List.fold_left (fun acc v -> acc + encoded_size v) 0 vs
+  | List vs -> 5 + sizes 0 vs
   | Blob_ref _ -> 13
   | Blob_cached { bc_data; _ } -> 13 + Bytes.length bc_data
   | Mapped_ref _ -> 13
 
+and sizes acc = function
+  | [] -> acc
+  | v :: vs -> sizes (acc + encoded_size v) vs
+
 (* --- binary encoding ---------------------------------------------------- *)
+
+(* Each writer stores one value at [pos] and returns the position after
+   it.  [encode] sizes the frame first, so every write lands in the one
+   [Bytes] it allocates. *)
+let write_i32 b pos n =
+  Bytes.set_int32_le b pos (Int32.of_int n);
+  pos + 4
+
+let write_body b pos body =
+  let n = Bytes.length body in
+  Bytes.blit body 0 b (write_i32 b pos n) n;
+  pos + 4 + n
+
+let rec write b pos = function
+  | Unit ->
+      Bytes.set b pos '\000';
+      pos + 1
+  | I64 v ->
+      Bytes.set b pos '\001';
+      Bytes.set_int64_le b (pos + 1) v;
+      pos + 9
+  | F64 v ->
+      Bytes.set b pos '\002';
+      Bytes.set_int64_le b (pos + 1) (Int64.bits_of_float v);
+      pos + 9
+  | Str s ->
+      Bytes.set b pos '\003';
+      let n = String.length s in
+      Bytes.blit_string s 0 b (write_i32 b (pos + 1) n) n;
+      pos + 5 + n
+  | Blob body ->
+      Bytes.set b pos '\004';
+      write_body b (pos + 1) body
+  | Handle h ->
+      Bytes.set b pos '\005';
+      Bytes.set_int64_le b (pos + 1) h;
+      pos + 9
+  | List vs ->
+      Bytes.set b pos '\006';
+      write_list b (write_i32 b (pos + 1) (List.length vs)) vs
+  | Blob_ref { br_digest; br_size } ->
+      Bytes.set b pos '\007';
+      Bytes.set_int64_le b (pos + 1) br_digest;
+      write_i32 b (pos + 9) br_size
+  | Blob_cached { bc_digest; bc_data } ->
+      Bytes.set b pos '\008';
+      Bytes.set_int64_le b (pos + 1) bc_digest;
+      write_body b (pos + 9) bc_data
+  | Mapped_ref { mr_iova; mr_size } ->
+      Bytes.set b pos '\009';
+      Bytes.set_int64_le b (pos + 1) mr_iova;
+      write_i32 b (pos + 9) mr_size
+
+and write_list b pos = function
+  | [] -> pos
+  | v :: vs -> write_list b (write b pos v) vs
+
+let encode values =
+  let b = Bytes.create (4 + sizes 0 values) in
+  let stop = write_list b (write_i32 b 0 (List.length values)) values in
+  assert (stop = Bytes.length b);
+  b
+
+(* --- decoding ----------------------------------------------------------- *)
 
 exception Decode_error of string
 
-let rec encode_value buf = function
-  | Unit -> Buffer.add_char buf '\000'
-  | I64 v ->
-      Buffer.add_char buf '\001';
-      Buffer.add_int64_le buf v
-  | F64 v ->
-      Buffer.add_char buf '\002';
-      Buffer.add_int64_le buf (Int64.bits_of_float v)
-  | Str s ->
-      Buffer.add_char buf '\003';
-      Buffer.add_int32_le buf (Int32.of_int (String.length s));
-      Buffer.add_string buf s
-  | Blob b ->
-      Buffer.add_char buf '\004';
-      Buffer.add_int32_le buf (Int32.of_int (Bytes.length b));
-      Buffer.add_bytes buf b
-  | Handle h ->
-      Buffer.add_char buf '\005';
-      Buffer.add_int64_le buf h
-  | List vs ->
-      Buffer.add_char buf '\006';
-      Buffer.add_int32_le buf (Int32.of_int (List.length vs));
-      List.iter (encode_value buf) vs
-  | Blob_ref { br_digest; br_size } ->
-      Buffer.add_char buf '\007';
-      Buffer.add_int64_le buf br_digest;
-      Buffer.add_int32_le buf (Int32.of_int br_size)
-  | Blob_cached { bc_digest; bc_data } ->
-      Buffer.add_char buf '\008';
-      Buffer.add_int64_le buf bc_digest;
-      Buffer.add_int32_le buf (Int32.of_int (Bytes.length bc_data));
-      Buffer.add_bytes buf bc_data
-  | Mapped_ref { mr_iova; mr_size } ->
-      Buffer.add_char buf '\009';
-      Buffer.add_int64_le buf mr_iova;
-      Buffer.add_int32_le buf (Int32.of_int mr_size)
+let max_depth = 64
 
-let encode values =
-  let buf = Buffer.create 64 in
-  Buffer.add_int32_le buf (Int32.of_int (List.length values));
-  List.iter (encode_value buf) values;
-  Buffer.to_bytes buf
+(* A cursor over the window [pos, stop) of a received frame. *)
+type reader = { data : bytes; mutable pos : int; stop : int }
+
+let reader data = { data; pos = 0; stop = Bytes.length data }
+
+let need r n =
+  if n > r.stop - r.pos then raise (Decode_error "truncated message")
+
+let u8 r =
+  need r 1;
+  let v = Char.code (Bytes.get r.data r.pos) in
+  r.pos <- r.pos + 1;
+  v
+
+let i32 r =
+  need r 4;
+  let v = Int32.to_int (Bytes.get_int32_le r.data r.pos) in
+  r.pos <- r.pos + 4;
+  v
+
+let i64 r =
+  need r 8;
+  let v = Bytes.get_int64_le r.data r.pos in
+  r.pos <- r.pos + 8;
+  v
+
+(* Length of a payload body that must follow in full. *)
+let body_length r what =
+  let n = i32 r in
+  if n < 0 then raise (Decode_error ("negative " ^ what ^ " length"));
+  need r n;
+  n
+
+let skip r n = r.pos <- r.pos + n
+
+let take r n =
+  let b = Bytes.sub r.data r.pos n in
+  skip r n;
+  b
+
+let count r =
+  let n = i32 r in
+  if n < 0 || n > 1_000_000 then raise (Decode_error "implausible value count");
+  n
+
+(* Without [copy], [Str], [Blob] and [Blob_cached] bodies are checked
+   and skipped, and come back empty: nothing is copied for a reader that
+   only needs the scalars. *)
+let rec value ~copy ~depth r =
+  match u8 r with
+  | 0 -> Unit
+  | 1 -> I64 (i64 r)
+  | 2 -> F64 (Int64.float_of_bits (i64 r))
+  | 3 ->
+      let n = body_length r "string" in
+      if copy then begin
+        let s = Bytes.sub_string r.data r.pos n in
+        skip r n;
+        Str s
+      end
+      else (skip r n; Str "")
+  | 4 ->
+      let n = body_length r "blob" in
+      if copy then Blob (take r n) else (skip r n; Blob Bytes.empty)
+  | 5 -> Handle (i64 r)
+  | 6 ->
+      let n = i32 r in
+      if n < 0 || n > 1_000_000 then
+        raise (Decode_error "implausible list length");
+      if depth >= max_depth then raise (Decode_error "lists nested too deep");
+      List (values ~copy ~depth:(depth + 1) r n [])
+  | 7 ->
+      let d = i64 r in
+      let n = i32 r in
+      if n < 0 then raise (Decode_error "negative blob-ref size");
+      Blob_ref { br_digest = d; br_size = n }
+  | 8 ->
+      let d = i64 r in
+      let n = body_length r "cached-blob" in
+      let b = if copy then take r n else (skip r n; Bytes.empty) in
+      Blob_cached { bc_digest = d; bc_data = b }
+  | 9 ->
+      let iova = i64 r in
+      let n = i32 r in
+      if n < 0 then raise (Decode_error "negative mapped-ref size");
+      (* Range-check at the trust boundary: a reference outside the
+         IOVA window (or overrunning it) can never reach the IOMMU. *)
+      if
+        Int64.compare iova Ava_device.Iommu.iova_base < 0
+        || Int64.compare
+             (Int64.add iova (Int64.of_int n))
+             Ava_device.Iommu.iova_limit
+           > 0
+      then raise (Decode_error "mapped-ref IOVA out of range");
+      Mapped_ref { mr_iova = iova; mr_size = n }
+  | tag -> raise (Decode_error (Printf.sprintf "unknown tag %d" tag))
+
+(* Strictly left to right: [value] advances the cursor.  ([List.init]
+   must not be used here, its application order is unspecified.) *)
+and values ~copy ~depth r n acc =
+  if n = 0 then List.rev acc
+  else
+    let v = value ~copy ~depth r in
+    values ~copy ~depth r (n - 1) (v :: acc)
+
+let read ~copy r = value ~copy ~depth:0 r
+let read_n ~copy r n = values ~copy ~depth:0 r n []
+
+let sub_frame r =
+  match u8 r with
+  | 4 ->
+      let n = body_length r "blob" in
+      let sub = { data = r.data; pos = r.pos; stop = r.pos + n } in
+      skip r n;
+      sub
+  | _ -> raise (Decode_error "expected an embedded frame")
+
+let finish r = if r.pos <> r.stop then raise (Decode_error "trailing bytes")
 
 let decode data =
-  let pos = ref 0 in
-  let len = Bytes.length data in
-  let need n =
-    if !pos + n > len then raise (Decode_error "truncated message")
-  in
-  let u8 () =
-    need 1;
-    let v = Char.code (Bytes.get data !pos) in
-    incr pos;
-    v
-  in
-  let i32 () =
-    need 4;
-    let v = Int32.to_int (Bytes.get_int32_le data !pos) in
-    pos := !pos + 4;
-    v
-  in
-  let i64 () =
-    need 8;
-    let v = Bytes.get_int64_le data !pos in
-    pos := !pos + 8;
-    v
-  in
-  (* [List.init n (fun _ -> value ())] must not be used here: the order in
-     which [List.init] applies its closure is unspecified, and [value]
-     advances [pos] as a side effect. Decode strictly left to right. *)
-  let rec values n acc value =
-    if n = 0 then List.rev acc
-    else
-      let v = value () in
-      values (n - 1) (v :: acc) value
-  in
-  let rec value () =
-    match u8 () with
-    | 0 -> Unit
-    | 1 -> I64 (i64 ())
-    | 2 -> F64 (Int64.float_of_bits (i64 ()))
-    | 3 ->
-        let n = i32 () in
-        if n < 0 then raise (Decode_error "negative string length");
-        need n;
-        let s = Bytes.sub_string data !pos n in
-        pos := !pos + n;
-        Str s
-    | 4 ->
-        let n = i32 () in
-        if n < 0 then raise (Decode_error "negative blob length");
-        need n;
-        let b = Bytes.sub data !pos n in
-        pos := !pos + n;
-        Blob b
-    | 5 -> Handle (i64 ())
-    | 6 ->
-        let n = i32 () in
-        if n < 0 || n > 1_000_000 then
-          raise (Decode_error "implausible list length");
-        List (values n [] value)
-    | 7 ->
-        let d = i64 () in
-        let n = i32 () in
-        if n < 0 then raise (Decode_error "negative blob-ref size");
-        Blob_ref { br_digest = d; br_size = n }
-    | 8 ->
-        let d = i64 () in
-        let n = i32 () in
-        if n < 0 then raise (Decode_error "negative cached-blob length");
-        need n;
-        let b = Bytes.sub data !pos n in
-        pos := !pos + n;
-        Blob_cached { bc_digest = d; bc_data = b }
-    | 9 ->
-        let iova = i64 () in
-        let n = i32 () in
-        if n < 0 then raise (Decode_error "negative mapped-ref size");
-        (* Range-check at the trust boundary: a reference outside the
-           IOVA window (or overrunning it) can never reach the IOMMU. *)
-        if
-          Int64.compare iova Ava_device.Iommu.iova_base < 0
-          || Int64.compare
-               (Int64.add iova (Int64.of_int n))
-               Ava_device.Iommu.iova_limit
-             > 0
-        then raise (Decode_error "mapped-ref IOVA out of range");
-        Mapped_ref { mr_iova = iova; mr_size = n }
-    | tag -> raise (Decode_error (Printf.sprintf "unknown tag %d" tag))
-  in
   match
-    let n = i32 () in
-    if n < 0 || n > 1_000_000 then
-      raise (Decode_error "implausible value count");
-    let vs = values n [] value in
-    if !pos <> len then raise (Decode_error "trailing bytes");
+    let r = reader data in
+    let vs = read_n ~copy:true r (count r) in
+    finish r;
     vs
   with
   | vs -> Ok vs

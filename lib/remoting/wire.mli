@@ -44,7 +44,50 @@ val encoded_size : value -> int
 (** Size of the encoded form, for payload accounting. *)
 
 val encode : value list -> bytes
+(** The frame: a 4-byte little-endian value count, then each value as
+    its tag byte and fields.  It is sized up front as
+    [4 + Σ encoded_size] and written into one [Bytes] of exactly that
+    length, the only allocation the call makes, so a payload is copied
+    once, into the frame. *)
 
 val decode : bytes -> (value list, string) result
 (** Total: corrupt or truncated input yields [Error], never an
-    exception. *)
+    exception.  Besides tags, lengths, truncation and trailing bytes it
+    checks two budgets: at most 1,000,000 values per frame or list, and
+    [List] nesting at most {!max_depth} deep, so a hostile frame cannot
+    exhaust the stack. *)
+
+val max_depth : int
+(** Deepest [List] nesting {!decode} accepts (64). *)
+
+(** {2 Frame reader}
+
+    The walker behind {!decode}, for [Message]: it parses a frame value
+    by value, can skip payload bodies, and parses a frame embedded in a
+    [Blob] in place.  Every function raises [Decode_error] where
+    {!decode} would return [Error]. *)
+
+exception Decode_error of string
+
+type reader
+(** A cursor over a frame (or over a frame embedded in another). *)
+
+val reader : bytes -> reader
+
+val count : reader -> int
+(** The frame's value count, at most 1,000,000. *)
+
+val read : copy:bool -> reader -> value
+(** The next value, with every check {!decode} makes.  With
+    [~copy:false] the bodies of [Str], [Blob] and [Blob_cached] values
+    (nested ones too) are checked and skipped, and come back empty. *)
+
+val read_n : copy:bool -> reader -> int -> value list
+(** The next [n] values, in order. *)
+
+val sub_frame : reader -> reader
+(** Consumes the next value, which must be a [Blob], and returns a
+    reader over its body without copying it. *)
+
+val finish : reader -> unit
+(** Fails unless the reader consumed its frame exactly. *)

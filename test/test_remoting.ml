@@ -59,6 +59,30 @@ let value_gen =
 
 let value_arb = QCheck.make ~print:(Fmt.str "%a" Wire.pp) value_gen
 
+(* [f cut prefix] for every proper prefix of [data]. *)
+let each_truncation data f =
+  for cut = 0 to Bytes.length data - 1 do
+    f cut (Bytes.sub data 0 cut)
+  done
+
+(* A one-value frame of [depth] nested single-element lists around a
+   [Unit], built by hand: [Wire.encode] itself recurses per level. *)
+let nested_frame depth =
+  let b = Bytes.create (4 + (5 * depth) + 1) in
+  Bytes.set_int32_le b 0 1l;
+  for i = 0 to depth - 1 do
+    Bytes.set b (4 + (5 * i)) '\006';
+    Bytes.set_int32_le b (4 + (5 * i) + 1) 1l
+  done;
+  Bytes.set b (4 + (5 * depth)) '\000';
+  b
+
+let hex b =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (Bytes.to_seq b)))
+
 let wire_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -73,12 +97,10 @@ let wire_tests =
     Alcotest.test_case "corrupt data rejected, never crashes" `Quick
       (fun () ->
         let data = Wire.encode [ Wire.Str "hello"; Wire.int 42 ] in
-        for cut = 0 to Bytes.length data - 1 do
-          match Wire.decode (Bytes.sub data 0 cut) with
-          | Ok _ when cut = Bytes.length data -> ()
-          | Ok _ -> Alcotest.failf "truncation to %d accepted" cut
-          | Error _ -> ()
-        done;
+        each_truncation data (fun cut prefix ->
+            match Wire.decode prefix with
+            | Ok _ -> Alcotest.failf "truncation to %d accepted" cut
+            | Error _ -> ());
         (* Bit flips in the tag byte. *)
         let mangled = Bytes.copy data in
         Bytes.set mangled 4 '\255';
@@ -152,14 +174,13 @@ let wire_tests =
                 { mr_iova = Ava_device.Iommu.iova_base; mr_size = 4096 };
             ]
         in
-        for cut = 0 to Bytes.length data - 1 do
-          match Wire.decode (Bytes.sub data 0 cut) with
-          | Ok _ -> Alcotest.failf "truncation to %d accepted" cut
-          | Error _ -> ()
-          | exception e ->
-              Alcotest.failf "truncation to %d raised %s" cut
-                (Printexc.to_string e)
-        done);
+        each_truncation data (fun cut prefix ->
+            match Wire.decode prefix with
+            | Ok _ -> Alcotest.failf "truncation to %d accepted" cut
+            | Error _ -> ()
+            | exception e ->
+                Alcotest.failf "truncation to %d raised %s" cut
+                  (Printexc.to_string e)));
     (* Regression: decode built lists with [List.init n (fun _ -> value ())],
        whose evaluation order is unspecified — nested collections could
        come back permuted.  Pin the order with a mixed nested value. *)
@@ -240,6 +261,73 @@ let wire_tests =
         Bytes.set b 4095 '\001';
         Alcotest.(check bool) "one flipped byte, new digest" false
           (Int64.equal (Wire.digest a) (Wire.digest b)));
+    (* The encoder writes into one buffer sized from [encoded_size], so
+       the two must agree for every value kind. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"frame size is 4 + sum of encoded_size"
+         ~count:500
+         (QCheck.list_of_size (QCheck.Gen.int_range 0 10) value_arb)
+         (fun values ->
+           Bytes.length (Wire.encode values)
+           = 4 + List.fold_left (fun a v -> a + Wire.encoded_size v) 0 values));
+    (* Pins the byte format: every tag once, lists nested and empty. *)
+    Alcotest.test_case "golden encoding of all ten tags" `Quick (fun () ->
+        let frame =
+          Wire.
+            [
+              Unit;
+              I64 (-2L);
+              F64 1.5;
+              Str "ab";
+              Blob (Bytes.of_string "\001\002");
+              Handle 4097L;
+              List [ int 1; List [ Str "x" ]; List [] ];
+              Blob_ref { br_digest = 0x1122334455667788L; br_size = 4096 };
+              Blob_cached
+                {
+                  bc_digest = 0x0102030405060708L;
+                  bc_data = Bytes.of_string "z";
+                };
+              Mapped_ref
+                { mr_iova = Ava_device.Iommu.iova_base; mr_size = 4096 };
+            ]
+        in
+        Alcotest.(check string)
+          "hex"
+          (String.concat ""
+             [
+               "0a000000" (* value count *);
+               "00";
+               "01" ^ "feffffffffffffff";
+               "02" ^ "000000000000f83f";
+               "03" ^ "02000000" ^ "6162";
+               "04" ^ "02000000" ^ "0102";
+               "05" ^ "0110000000000000";
+               "06" ^ "03000000" ^ "01" ^ "0100000000000000" ^ "06" ^ "01000000"
+               ^ "03" ^ "01000000" ^ "78" ^ "06" ^ "00000000";
+               "07" ^ "8877665544332211" ^ "00100000";
+               "08" ^ "0807060504030201" ^ "01000000" ^ "7a";
+               "09" ^ "0000000001000000" ^ "00100000";
+             ])
+          (hex (Wire.encode frame)));
+    (* Regression: nesting depth was unbounded, so a deep frame recursed
+       until the stack ran out (a fixed stack on OCaml 4.14). *)
+    Alcotest.test_case "list nesting beyond the depth budget is an error"
+      `Quick (fun () ->
+        Alcotest.(check string)
+          "hand-built frame matches the encoder"
+          (hex (Wire.encode [ Wire.List [ Wire.List [ Wire.Unit ] ] ]))
+          (hex (nested_frame 2));
+        (match Wire.decode (nested_frame Wire.max_depth) with
+        | Ok [ _ ] -> ()
+        | Ok _ -> Alcotest.fail "wrong arity"
+        | Error e -> Alcotest.failf "depth %d rejected: %s" Wire.max_depth e);
+        List.iter
+          (fun depth ->
+            match Wire.decode (nested_frame depth) with
+            | Ok _ -> Alcotest.failf "depth %d accepted" depth
+            | Error _ -> ())
+          [ Wire.max_depth + 1; 1_000_000 ]);
   ]
 
 let message_tests =
@@ -303,6 +391,62 @@ let message_tests =
         | Ok (Message.Nak n') ->
             Alcotest.(check int) "empty" 0 (List.length n'.Message.nak_digests)
         | _ -> Alcotest.fail "roundtrip failed");
+    (* Regression: header integers went through [Int64.to_int], so an
+       out-of-range guest seq wrapped onto another seq. *)
+    Alcotest.test_case "out-of-range seq, vm or status is rejected" `Quick
+      (fun () ->
+        List.iter
+          (fun (what, values) ->
+            let data = Wire.encode values in
+            (match Message.decode data with
+            | Ok _ -> Alcotest.failf "%s accepted by decode" what
+            | Error _ -> ());
+            match Message.view data with
+            | Ok _ -> Alcotest.failf "%s accepted by view" what
+            | Error _ -> ())
+          [
+            ( "call seq min_int",
+              Wire.[ Str "C"; I64 Int64.min_int; int 1; Str "ping" ] );
+            ( "call vm max_int",
+              Wire.[ Str "C"; int 0; I64 Int64.max_int; Str "ping" ] );
+            ( "reply status min_int",
+              Wire.[ Str "R"; int 0; I64 Int64.min_int; Unit ] );
+            ( "skip seq max_int",
+              Wire.[ Str "S"; int 1; int 2; I64 Int64.max_int ] );
+          ]);
+    Alcotest.test_case "deeply nested argument is an error" `Quick (fun () ->
+        (* A call frame whose one argument is [depth] lists deep. *)
+        let call_around depth =
+          let header =
+            Message.encode
+              (Message.Call
+                 {
+                   call_seq = 0;
+                   call_vm = 1;
+                   call_fn = "ping";
+                   call_args = [];
+                 })
+          in
+          let arg = nested_frame depth in
+          let data =
+            Bytes.cat header (Bytes.sub arg 4 (Bytes.length arg - 4))
+          in
+          Bytes.set_int32_le data 0 5l;
+          data
+        in
+        (match Message.decode (call_around 2) with
+        | Ok (Message.Call c) ->
+            Alcotest.(check int)
+              "one argument" 1
+              (List.length c.Message.call_args)
+        | _ -> Alcotest.fail "shallow frame rejected");
+        let data = call_around 1_000_000 in
+        (match Message.decode data with
+        | Ok _ -> Alcotest.fail "accepted by decode"
+        | Error _ -> ());
+        match Message.view data with
+        | Ok _ -> Alcotest.fail "accepted by view"
+        | Error _ -> ());
   ]
 
 let transport_tests =
@@ -1067,6 +1211,171 @@ let router_tests =
           (Router.in_flight_calls router ~vm_id:vm2));
   ]
 
+(* Random frames of every kind, for the router view. *)
+let message_gen =
+  let open QCheck.Gen in
+  let call =
+    map3
+      (fun (call_seq, call_vm) call_fn call_args ->
+        { Message.call_seq; call_vm; call_fn; call_args })
+      (pair int nat)
+      (oneofl [ "ping"; "fire"; "clFinish" ])
+      (list_size (0 -- 4) value_gen)
+  in
+  frequency
+    [
+      (3, map (fun c -> Message.Call c) call);
+      (2, map (fun cs -> Message.Batch cs) (list_size (0 -- 3) call));
+      ( 2,
+        map3
+          (fun (reply_seq, reply_status) reply_ret reply_outs ->
+            Message.Reply { reply_seq; reply_status; reply_ret; reply_outs })
+          (pair nat (int_range (-64) 64))
+          value_gen
+          (list_size (0 -- 3) value_gen) );
+      ( 1,
+        map
+          (fun (up_vm, up_args) -> Message.Upcall { up_vm; up_cb = 3; up_args })
+          (pair nat (list_size (0 -- 2) value_gen)) );
+      ( 1,
+        map
+          (fun skip_seqs -> Message.Skip { skip_vm = 1; skip_seqs })
+          (list_size (0 -- 4) nat) );
+      ( 1,
+        map
+          (fun nak_seq ->
+            Message.Nak { nak_vm = 1; nak_seq; nak_digests = [ 7L ] })
+          nat );
+    ]
+
+let call_agrees (c : Message.call) (v : Message.call_view) =
+  v.Message.cv_seq = c.Message.call_seq
+  && v.Message.cv_vm = c.Message.call_vm
+  && String.equal v.Message.cv_fn c.Message.call_fn
+  && v.Message.cv_args = List.map Wire.to_int c.Message.call_args
+
+let view_tests =
+  let message_arb = QCheck.make ~print:(Fmt.str "%a" Message.pp) message_gen in
+  let accepted r = Result.is_ok r in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"router view agrees with full decode" ~count:300
+         message_arb (fun m ->
+           let data = Message.encode m in
+           match (Message.decode data, Message.view data) with
+           | Ok (Message.Call c), Ok (Message.Call_view v) -> call_agrees c v
+           | Ok (Message.Batch cs), Ok (Message.Batch_view vs) ->
+               List.length cs = List.length vs
+               && List.for_all2 call_agrees cs vs
+           | Ok (Message.Reply r), Ok (Message.Reply_view v) ->
+               v.rv_seq = r.Message.reply_seq
+               && v.rv_status = r.Message.reply_status
+           | ( Ok (Message.Upcall _ | Message.Skip _ | Message.Nak _),
+               Ok Message.Other_view ) ->
+               true
+           | _ -> false));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"router view rejects exactly what full decode rejects"
+         ~count:100 message_arb (fun m ->
+           let data = Message.encode m in
+           let same what d =
+             if accepted (Message.view d) <> accepted (Message.decode d) then
+               QCheck.Test.fail_reportf "view and decode disagree on %s" what
+           in
+           each_truncation data (fun cut prefix ->
+               same (Printf.sprintf "truncation to %d" cut) prefix);
+           for i = 0 to Bytes.length data - 1 do
+             List.iter
+               (fun c ->
+                 let d = Bytes.copy data in
+                 Bytes.set d i c;
+                 same (Printf.sprintf "byte %d set to %C" i c) d)
+               [ Char.chr (Char.code (Bytes.get data i) lxor 0xff); '\001' ]
+           done;
+           true));
+  ]
+
+(* Bytes allocated by [f]: words allocated in the minor heap plus words
+   allocated directly in the major one.  Deterministic, unlike wall-clock
+   time.  Not [Gc.allocated_bytes]: on OCaml 5.1 it counts the words
+   allocated since the last minor collection at an eighth of their
+   size, then catches up at the next collection. *)
+let allocated f =
+  let words () =
+    let _minor, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let v = f () in
+  (v, (words () -. w0) *. float_of_int (Sys.word_size / 8))
+
+let alloc_tests =
+  let payload = Bytes.make (1 lsl 20) 'p' in
+  [
+    Alcotest.test_case "encoding a 1 MiB blob frame allocates the frame only"
+      `Quick (fun () ->
+        let values = Wire.[ Str "C"; int 0; int 1; Str "ping"; Blob payload ] in
+        let frame, bytes = allocated (fun () -> Wire.encode values) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f B allocated for a %d B frame" bytes
+             (Bytes.length frame))
+          true
+          (bytes <= float_of_int (Bytes.length frame + 256)));
+    (* Small frames are most of the traffic: no closure, ref or box
+       per call, only the frame's own block. *)
+    Alcotest.test_case "encoding a small frame allocates the frame only"
+      `Quick (fun () ->
+        let values =
+          Wire.[ Str "C"; int 7; int 1; Str "fire"; F64 0.5; List [ int 3 ] ]
+        in
+        let len = Bytes.length (Wire.encode values) in
+        let word = Sys.word_size / 8 in
+        let block = word * (1 + ((len + word) / word)) in
+        let (), bytes =
+          allocated (fun () ->
+              for _ = 1 to 100 do
+                ignore (Sys.opaque_identity (Wire.encode values))
+              done)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f B for 100 frames of %d B" bytes block)
+          true
+          (bytes <= float_of_int ((100 * block) + 256)));
+    (* Encode, router, server and reply: the payload is copied into the
+       frame and into the server's decoded call, and nowhere else. *)
+    Alcotest.test_case "a 1 MiB call crosses the router with two copies"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let guest_end, router, server, vm_id = router_stack e (mini_plan ()) in
+        let call =
+          Message.Call
+            {
+              call_seq = 0;
+              call_vm = vm_id;
+              call_fn = "ping";
+              call_args = [ Wire.Blob payload ];
+            }
+        in
+        let bytes = ref 0.0 in
+        Engine.run_process e (fun () ->
+            let status, b =
+              allocated (fun () ->
+                  Transport.send guest_end (Message.encode call);
+                  match Message.decode (Transport.recv guest_end) with
+                  | Ok (Message.Reply r) -> r.Message.reply_status
+                  | _ -> Alcotest.fail "expected a reply frame")
+            in
+            Alcotest.(check int) "executed" 0 status;
+            bytes := b);
+        Alcotest.(check int) "forwarded" 1 (Router.forwarded router);
+        Alcotest.(check int) "server ran it" 1 (Server.executed server);
+        let budget = 2.2 *. float_of_int (Bytes.length payload) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f B allocated, budget %.0f B" !bytes budget)
+          true (!bytes < budget));
+  ]
+
 let ctx_tests =
   [
     Alcotest.test_case "virtual id mapping" `Quick (fun () ->
@@ -1256,6 +1565,8 @@ let () =
       ("transfer-cache", cache_tests);
       ("sva", sva_tests);
       ("router", router_tests);
+      ("router-view", view_tests);
+      ("alloc-budget", alloc_tests);
       ("ctx", ctx_tests);
       ("migrate", migrate_tests);
       ("swap", swap_tests);
