@@ -47,6 +47,10 @@ type call_plan = {
 }
 
 type t
+(** A compiled plan is immutable: no function mutates it after
+    {!compile}, and no field of the {!Ava_spec.Ast} it is built from is
+    mutable.  One plan may therefore be shared read-only by any number
+    of hosts, routers and servers. *)
 
 val compile : api_spec -> (t, string) result
 (** Fails on unresolved parameter kinds or unknown constants in

@@ -91,12 +91,34 @@ let sync_everything (spec : Ava_spec.Ast.api_spec) =
         spec.Ava_spec.Ast.fns;
   }
 
-let load_cl_plan ?(sync_only = false) () =
-  let spec = Ava_spec.Specs.load_simcl () in
-  let spec = if sync_only then sync_everything spec else spec in
+(* The built-in specs are compile-time string constants, so each is
+   parsed and compiled at most once per process, on first use, and every
+   host, pool device and cluster member shares the result: a compiled
+   plan and its spec are immutable (see [Plan]).  The first host pays
+   the parse; later ones pay nothing.  The repository spawns no domains,
+   so forcing these lazies is race-free. *)
+let compile_builtin api spec =
   match Plan.compile spec with
   | Ok plan -> (spec, plan)
-  | Error e -> failwith ("simcl plan compilation failed: " ^ e)
+  | Error e -> failwith (api ^ " plan compilation failed: " ^ e)
+
+let simcl = lazy (compile_builtin "simcl" (Ava_spec.Specs.load_simcl ()))
+
+(* Derived from the same parsed spec, but its own value: the two SimCL
+   variants never share a plan. *)
+let simcl_sync =
+  lazy (compile_builtin "simcl" (sync_everything (fst (Lazy.force simcl))))
+
+let mvnc = lazy (compile_builtin "mvnc" (Ava_spec.Specs.load_mvnc ()))
+let qat = lazy (compile_builtin "qat" (Ava_spec.Specs.load_qat ()))
+let simst = lazy (compile_builtin "simst" (Ava_spec.Specs.load_simst ()))
+
+let load_cl_plan ?(sync_only = false) () =
+  Lazy.force (if sync_only then simcl_sync else simcl)
+
+let load_nc_plan () = Lazy.force mvnc
+let load_qa_plan () = Lazy.force qat
+let load_st_plan () = Lazy.force simst
 
 (* Record successfully executed calls per the spec's record classes.
    One hook closure per server, so [Server.Ctx.last_fresh] reads the
@@ -584,12 +606,6 @@ type nc_guest = {
   ng_stub : Stub.t option;
 }
 
-let load_nc_plan () =
-  let spec = Ava_spec.Specs.load_mvnc () in
-  match Plan.compile spec with
-  | Ok plan -> (spec, plan)
-  | Error e -> failwith ("mvnc plan compilation failed: " ^ e)
-
 let create_nc_host ?(virt = Timing.default_virt)
     ?(ncs_timing = Timing.movidius) ?(transfer_cache = 0) ?(sva = false)
     ?doorbell ?devfaults ?tdr ?obs engine =
@@ -701,12 +717,6 @@ type qa_guest = {
   qg_stub : Stub.t option;
 }
 
-let load_qa_plan () =
-  let spec = Ava_spec.Specs.load_qat () in
-  match Plan.compile spec with
-  | Ok plan -> (spec, plan)
-  | Error e -> failwith ("qat plan compilation failed: " ^ e)
-
 let create_qa_host ?(virt = Timing.default_virt)
     ?(qat_timing = Ava_simqa.Device.dh895xcc) ?obs engine =
   let dev = Ava_simqa.Device.create ~timing:qat_timing engine in
@@ -770,12 +780,6 @@ type st_guest = {
   sg_api : (module Ava_simst.Api.S);
   sg_stub : Stub.t option;
 }
-
-let load_st_plan () =
-  let spec = Ava_spec.Specs.load_simst () in
-  match Plan.compile spec with
-  | Ok plan -> (spec, plan)
-  | Error e -> failwith ("simst plan compilation failed: " ^ e)
 
 (* Heterogeneous fleets: the capability tag picks the device model.  The
    SimST API runs on all three — what differs is the timing profile, so

@@ -86,6 +86,11 @@ val sync_everything : Ava_spec.Ast.api_spec -> Ava_spec.Ast.api_spec
 
 val load_cl_plan :
   ?sync_only:bool -> unit -> Ava_spec.Ast.api_spec * Plan.t
+(** The built-in SimCL spec and its compiled plan.  Memoized: parsed
+    and compiled on the first call, then the same value on every call,
+    shared by every host of the process.  [sync_only] selects the
+    all-sync variant, cached as its own distinct value.  The other
+    [load_*_plan] are memoized the same way. *)
 
 val create_cl_host :
   ?virt:Timing.virt ->
@@ -245,6 +250,7 @@ type nc_guest = {
 }
 
 val load_nc_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
+(** The built-in MVNC spec and plan, memoized like {!load_cl_plan}. *)
 
 val create_nc_host :
   ?virt:Timing.virt ->
@@ -294,6 +300,7 @@ type qa_guest = {
 }
 
 val load_qa_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
+(** The built-in QAT spec and plan, memoized like {!load_cl_plan}. *)
 
 val create_qa_host :
   ?virt:Timing.virt ->
@@ -348,6 +355,7 @@ type st_guest = {
 }
 
 val load_st_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
+(** The built-in SimST spec and plan, memoized like {!load_cl_plan}. *)
 
 val st_fault_statuses : int list
 (** Reply statuses counting against a SimST VM's error budget. *)

@@ -159,6 +159,10 @@ let record_trace_cat t category fmt =
 
 let record_trace t fmt = record_trace_cat t trace_category fmt
 
+(* Guards the per-call site: a disabled trace still formats (and allocates). *)
+let tracing t =
+  match t.trace with Some tr -> Trace.is_enabled tr | None -> false
+
 let forwarded t = t.forwarded
 let rejected t = t.rejected
 let requeued t = t.requeued
@@ -396,8 +400,9 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
               None
           | Ok plan ->
               Vm.charge_call vm;
-              record_trace t "vm%d %s seq=%d" (Vm.id vm)
-                c.Message.cv_fn c.Message.cv_seq;
+              if tracing t then
+                record_trace t "vm%d %s seq=%d" (Vm.id vm) c.Message.cv_fn
+                  c.Message.cv_seq;
               let env = env_of_call plan c in
               (match conn.bucket with
               | Some b -> Policy.Token_bucket.take b 1.0

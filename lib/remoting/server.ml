@@ -317,6 +317,10 @@ let record_trace_cat t category fmt =
 
 let record_trace t fmt = record_trace_cat t "server" fmt
 
+(* Guards the per-call site: a disabled trace still formats (and allocates). *)
+let tracing t =
+  match t.trace with Some tr -> Trace.is_enabled tr | None -> false
+
 let register t name handler = Hashtbl.replace t.handlers name handler
 
 let set_call_hook t hook = t.on_call <- Some hook
@@ -529,8 +533,9 @@ let execute_call t entry (c : Message.call) =
     | Some handler -> run_handler t entry handler c
   in
   obs_mark Obs.M_exec_end;
-  record_trace t "vm%d %s seq=%d status=%d" entry.ve_ctx.Ctx.ctx_vm
-    c.Message.call_fn c.Message.call_seq status;
+  if tracing t then
+    record_trace t "vm%d %s seq=%d status=%d" entry.ve_ctx.Ctx.ctx_vm
+      c.Message.call_fn c.Message.call_seq status;
   (match t.on_call with
   | Some hook -> hook ~vm_id:entry.ve_ctx.Ctx.ctx_vm ~status c
   | None -> ());

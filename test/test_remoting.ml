@@ -1,6 +1,7 @@
 (* Tests for the API-agnostic remoting runtime: wire codec, message
    frames, transports, policies, stub/server plumbing, the object
-   recorder and the swap manager. *)
+   recorder and the swap manager, plus the hosts' shared plans and
+   their stand-up allocation. *)
 
 module Wire = Ava_remoting.Wire
 module Message = Ava_remoting.Message
@@ -12,6 +13,8 @@ module Migrate = Ava_remoting.Migrate
 module Swap = Ava_remoting.Swap
 module Plan = Ava_codegen.Plan
 module Transport = Ava_transport.Transport
+module Host = Ava_core.Host
+module Rodinia = Ava_workloads.Rodinia
 
 open Ava_sim
 
@@ -1553,6 +1556,110 @@ let swap_tests =
            Swap.check_invariants t));
   ]
 
+(* Built-in plans are compiled once per process and shared by every
+   host.  The sync-only host below must be the first SimCL host the
+   process stands up, so it is the one that forces the parse. *)
+type cl_run = {
+  r_vt : Time.t;
+  r_sync : int;
+  r_async : int;
+  r_marshalled : int;
+  r_forwarded : int;
+  r_router_rejected : int;
+  r_requeued : int;
+  r_executed : int;
+  r_server_rejected : int;
+}
+
+let run_on_fresh_host ~sync_only (b : Rodinia.benchmark) =
+  let e = Engine.create () in
+  let result = ref None in
+  Engine.spawn e (fun () ->
+      let host = Host.create_cl_host ~sync_only e in
+      let guest = Host.add_cl_vm host ~name:"guest" in
+      b.Rodinia.run guest.Host.g_api;
+      let stub = Option.get guest.Host.g_stub in
+      result :=
+        Some
+          {
+            r_vt = Engine.now e;
+            r_sync = Stub.sync_calls stub;
+            r_async = Stub.async_calls stub;
+            r_marshalled = Stub.marshalled_bytes stub;
+            r_forwarded = Router.forwarded host.Host.router;
+            r_router_rejected = Router.rejected host.Host.router;
+            r_requeued = Router.requeued host.Host.router;
+            r_executed = Server.executed host.Host.server;
+            r_server_rejected = Server.rejected host.Host.server;
+          });
+  Engine.run e;
+  Option.get !result
+
+let host_plan_tests =
+  let bfs = Option.get (Rodinia.find "bfs") in
+  [
+    Alcotest.test_case "sync-only host first: no cross-talk, later hosts agree"
+      `Quick (fun () ->
+        let sync_first = run_on_fresh_host ~sync_only:true bfs in
+        let default_first = run_on_fresh_host ~sync_only:false bfs in
+        Alcotest.(check int) "sync-only stub forwards no async call" 0
+          sync_first.r_async;
+        Alcotest.(check bool)
+          (Printf.sprintf "default stub forwards %d async calls"
+             default_first.r_async)
+          true
+          (default_first.r_async > 0);
+        let sync_later = run_on_fresh_host ~sync_only:true bfs in
+        let default_later = run_on_fresh_host ~sync_only:false bfs in
+        Alcotest.(check bool) "later sync-only host repeats the first" true
+          (sync_later = sync_first);
+        Alcotest.(check bool) "later default host repeats the first" true
+          (default_later = default_first));
+    Alcotest.test_case "load_*_plan return one shared plan" `Quick (fun () ->
+        let same name load =
+          let s1, p1 = load () and s2, p2 = load () in
+          Alcotest.(check bool) (name ^ " plan") true (p1 == p2);
+          Alcotest.(check bool) (name ^ " spec") true (s1 == s2)
+        in
+        same "simcl" (fun () -> Host.load_cl_plan ());
+        same "simcl sync-only" (fun () -> Host.load_cl_plan ~sync_only:true ());
+        same "mvnc" Host.load_nc_plan;
+        same "qat" Host.load_qa_plan;
+        same "simst" Host.load_st_plan;
+        let _, default = Host.load_cl_plan () in
+        let _, sync_only = Host.load_cl_plan ~sync_only:true () in
+        Alcotest.(check bool) "sync-only plan is its own value" false
+          (default == sync_only));
+  ]
+
+(* Standing a host up after the first costs its own objects only: a
+   re-parse of even the smallest built-in spec allocates well over the
+   96 KiB budget. *)
+let standup_tests =
+  let budget name kib create =
+    Alcotest.test_case
+      (Printf.sprintf "%s allocates at most %d KiB" name kib)
+      `Quick (fun () ->
+        ignore (Sys.opaque_identity (create ()));
+        let _, bytes = allocated create in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f B allocated, budget %d KiB" bytes kib)
+          true
+          (bytes <= float_of_int (kib * 1024)))
+  in
+  [
+    budget "create_cl_host" 96 (fun () ->
+        Host.create_cl_host (Engine.create ()));
+    budget "create_nc_host" 96 (fun () ->
+        Host.create_nc_host (Engine.create ()));
+    budget "create_qa_host" 96 (fun () ->
+        Host.create_qa_host (Engine.create ()));
+    budget "create_st_host" 96 (fun () ->
+        Host.create_st_host (Engine.create ()));
+    budget "pooled create_cl_host ~devices:4" 128 (fun () ->
+        Host.create_cl_host ~devices:4 (Engine.create ()));
+  ]
+
 let () =
   Alcotest.run "ava_remoting"
     [
@@ -1570,4 +1677,6 @@ let () =
       ("ctx", ctx_tests);
       ("migrate", migrate_tests);
       ("swap", swap_tests);
+      ("host-plans", host_plan_tests);
+      ("standup-budget", standup_tests);
     ]
