@@ -14,10 +14,10 @@
    directly. *)
 
 module Host = Ava_core.Host
+module Silo = Ava_core.Silo
 module Pool = Ava_pool.Pool
 module Server = Ava_remoting.Server
 module Router = Ava_remoting.Router
-module Transport = Ava_transport.Transport
 module Obs = Ava_obs.Obs
 module Gpu = Ava_device.Gpu
 module Vm = Ava_hv.Vm
@@ -279,18 +279,18 @@ let retire t ~vm_id =
    orchestrates everything between the two stacks:
 
      pause source worker -> drain window -> place on destination pool
-     -> attach destination server -> replay record log + restore
-     buffers ([Host.cl_silo_transfer]) -> seed destination cursor +
-     carry reply log -> move the router flow across routers
-     ([Router.transfer_flow]) -> detach source -> move recorder /
-     IOMMU bookkeeping.
+     -> [Pool.hand_over]: attach destination server, replay the record
+     log and restore buffers ([Silo.transfer]), seed the destination
+     cursor, carry the reply log, move the router flow across routers
+     ([Router.transfer_flow]), detach source -> move recorder / IOMMU
+     bookkeeping.
 
    The guest is never touched: its stub, transport and seq stream
    survive, exactly as in a single-host migration.  The recorder is
-   out of the source host's table during replay (so the replay does
-   not re-record itself) and enters the destination's table in the
-   same synchronous step as the re-steer, so requeued in-flight calls
-   cannot execute unrecorded. *)
+   out of both hosts' tables during replay (so the replay does not
+   re-record itself) and enters the destination's table in the same
+   synchronous step as the re-steer, so requeued in-flight calls cannot
+   execute unrecorded. *)
 
 let migrate_tenant t ~vm_id ~dest =
   if dest < 0 || dest >= Array.length t.hosts then
@@ -321,44 +321,38 @@ let migrate_tenant t ~vm_id ~dest =
             | Some vm -> vm
             | None -> assert false
           in
-          let src_srv = Pool.server src_pool src_dev in
-          Server.pause_vm src_srv ~vm_id;
+          let src = Pool.server src_pool src_dev in
+          Server.pause_vm src ~vm_id;
           (* The emigration claim blocks retire / local migration for
              the whole drain, so the VM is still here afterwards. *)
-          Engine.delay (Time.us 200);
-          let dst_dev =
-            Pool.place ?footprint:tn.t_footprint dst_pool ~vm
+          Engine.delay Pool.drain_window;
+          let dst_dev = Pool.place ?footprint:tn.t_footprint dst_pool ~vm in
+          let dst = Pool.server dst_pool dst_dev in
+          let iommu = Hashtbl.find_opt src_host.Host.iommus vm_id in
+          let bytes, _seq =
+            Pool.hand_over t.engine ~router:src_host.Host.router ~vm_id ~src
+              ~dst
+              ~transfer:(fun () ->
+                (Silo.transfer Silo.cl ~recorders:src_host.Host.recorders
+                   ~vm_id ~src ~dst ~fresh:None
+                   ~sva:
+                     (Option.map
+                        (fun i -> (i, Gpu.dma (Pool.gpu dst_pool dst_dev)))
+                        iommu))
+                  .Silo.bytes)
+              ~steer:(fun server_side ->
+                Router.transfer_flow src_host.Host.router
+                  ~dst:dst_host.Host.router ~vm_id ~backend:dst_dev
+                  ~server_side)
           in
-          let dst_srv = Pool.server dst_pool dst_dev in
-          let router_end, server_end = Transport.direct t.engine in
-          ignore (Server.attach_vm dst_srv ~vm_id ~ep:server_end);
-          let bytes =
-            Host.cl_silo_transfer ~recorder ~src_srv
-              ~src_kd:src_host.Host.kds.(src_dev) ~dst_srv
-              ~dst_kd:dst_host.Host.kds.(dst_dev)
-              ~iommu:(Hashtbl.find_opt src_host.Host.iommus vm_id)
-              ~dst_dma:(Gpu.dma (Pool.gpu dst_pool dst_dev))
-              ~suspend_recording:(fun () ->
-                Hashtbl.remove src_host.Host.recorders vm_id)
-              ~resume_recording:(fun () -> ())
-              ~vm_id
-          in
-          (* Cursor + reply log + re-steer in one synchronous step (no
-             suspension points), same reasoning as [Pool.migrate_vm]. *)
-          let seq = Router.next_seq src_host.Host.router ~vm_id in
-          Server.set_expected dst_srv ~vm_id ~seq;
-          Server.import_replies dst_srv ~vm_id
-            (Server.export_replies src_srv ~vm_id);
-          Router.transfer_flow src_host.Host.router ~dst:dst_host.Host.router
-            ~vm_id ~backend:dst_dev ~server_side:router_end;
-          Server.detach_vm src_srv ~vm_id;
           Pool.complete_emigration src_pool ~vm_id;
+          Hashtbl.remove src_host.Host.recorders vm_id;
           Hashtbl.replace dst_host.Host.recorders vm_id recorder;
-          (match Hashtbl.find_opt src_host.Host.iommus vm_id with
-          | Some iommu ->
+          Option.iter
+            (fun i ->
               Hashtbl.remove src_host.Host.iommus vm_id;
-              Hashtbl.replace dst_host.Host.iommus vm_id iommu
-          | None -> ());
+              Hashtbl.replace dst_host.Host.iommus vm_id i)
+            iommu;
           tn.t_host <- dest;
           t.cross_migrations <- t.cross_migrations + 1;
           bytes)

@@ -104,10 +104,11 @@ val migrate_tenant : t -> vm_id:int -> dest:int -> int
 (** Live cross-host migration; returns bytes moved (0 when refused:
     unknown tenant, already mid-migration, or [dest] is its host).
     Sequence: claim the VM on the source pool, pause + drain, place on
-    the destination host's pool, replay the record log and restore
-    buffers onto it ({!Host.cl_silo_transfer}), seed the destination
-    cursor and carry the reply log, move the guest's router flow across
-    routers, detach the source.  The guest keeps its stub, transport
+    the destination host's pool, then {!Pool.hand_over}: attach the
+    destination server, replay the record log and restore buffers onto
+    it ({!Ava_core.Silo.transfer}), seed the destination cursor and
+    carry the reply log, move the guest's router flow across routers,
+    detach the source.  The guest keeps its stub, transport
     and seq stream throughout.  Must run inside a simulation process.
     @raise Invalid_argument when [dest] is out of range or
     quarantined. *)

@@ -115,7 +115,6 @@ type 'st t = {
   devices : 'st device array;
   transfer : vm_id:int -> src:int -> dst:int -> int;
       (** API-specific silo copy; returns bytes moved *)
-  drain_ns : Time.t;
   trace : Trace.t option;
   mutable vms : (int * vm_info) list;
   mutable rr_cursor : int;
@@ -136,8 +135,11 @@ let record_trace t fmt =
       Trace.record tr ~at:(Engine.now t.engine) ~category:trace_category fmt
   | _ -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
-let create_het ?trace ?(drain_ns = Time.us 200) engine ~router ~placement
-    ~transfer devices =
+(* How long a migration waits after pausing the source worker for calls
+   already at the source to finish. *)
+let drain_window = Time.us 200
+
+let create ?trace engine ~router ~placement ~transfer devices =
   if devices = [] then invalid_arg "Pool.create: no devices";
   let devices =
     Array.of_list
@@ -164,7 +166,6 @@ let create_het ?trace ?(drain_ns = Time.us 200) engine ~router ~placement
     placement;
     devices;
     transfer;
-    drain_ns;
     trace;
     vms = [];
     rr_cursor = 0;
@@ -176,11 +177,6 @@ let create_het ?trace ?(drain_ns = Time.us 200) engine ~router ~placement
     emigrations = 0;
     stopped = false;
   }
-
-(* The homogeneous entry point: a fleet of GPUs, as before. *)
-let create ?trace ?drain_ns engine ~router ~placement ~transfer devices =
-  create_het ?trace ?drain_ns engine ~router ~placement ~transfer
-    (List.map (fun (gpu, server) -> (phys_of_gpu gpu, server)) devices)
 
 (* {1 Read-out} *)
 
@@ -385,24 +381,46 @@ let place ?(footprint = 0) ?requires ?device t ~vm =
 
 (* {1 Live migration} *)
 
-(* Move one VM's silo onto another device, re-steering its call flow.
-   Must run inside a simulation process.
+(* The ordered hand-over every live move shares, same-host or
+   cross-host.  The caller has paused the source worker and waited out
+   [drain_window]; a call the source executed but had not answered may
+   execute again at the destination — at-least-once, the same contract
+   as the restart/requeue path.
 
-   Sequence: pause the source worker; wait a drain window for calls
-   already at the source to finish (a call it executed but had not
-   answered may execute again at the destination — at-least-once, the
-   same contract as the restart/requeue path); attach the VM to the
-   destination server (fresh context + silo) and seed its in-order
-   cursor with the first live seq; replay the record log and restore
-   buffer contents (the injected [transfer]); finally re-steer the
-   router flow and detach the source entry.
+   The destination's in-order cursor is seeded only after the transfer,
+   in the same synchronous step as the steer.  The drain window is a
+   grace period, not a handshake: a blocking call the source had already
+   picked up (a [clFinish] riding out its kernels) can complete — and be
+   answered — during the transfer.  A cursor snapshotted at drain-end
+   would still name that seq, and the destination would wait forever for
+   a call whose reply the guest already consumed.  There is no
+   suspension point between the seed and [steer], so the ledger cannot
+   shift under the snapshot.
 
-   The detach matters beyond hygiene: a paused-forever source entry
-   keeps its per-VM content store alive, and a later migration *back*
-   to that device would find the stale store via [attach_vm]'s old
-   reuse path and NAK digests the guest cache believes are resident —
-   a resend loop no retry can heal.  Detaching frees the store so a
-   return migration starts from an empty, coherent cache. *)
+   The reply log is carried so a reply the source sent but the link
+   lost is still replayable when the stub retransmits its seq (which now
+   reads as a pre-cursor dup).
+
+   The source is detached last — [transfer] still needs its context and
+   silo — and it must be detached: a paused-forever source entry keeps
+   its per-VM content store alive, and a later migration *back* would
+   find the stale store and NAK digests the guest cache believes are
+   resident, a resend loop no retry can heal. *)
+let hand_over engine ~router ~vm_id ~src ~dst ~transfer ~steer =
+  let router_end, server_end = Transport.direct engine in
+  ignore (Server.attach_vm dst ~vm_id ~ep:server_end);
+  let bytes = transfer () in
+  let seq = Router.next_seq router ~vm_id in
+  Server.set_expected dst ~vm_id ~seq;
+  Server.import_replies dst ~vm_id (Server.export_replies src ~vm_id);
+  steer router_end;
+  Server.detach_vm src ~vm_id;
+  (bytes, seq)
+
+(* Move one VM's silo onto another device, re-steering its call flow:
+   pause the source worker, drain, then [hand_over] with the injected
+   [transfer] and a router re-steer.  Must run inside a simulation
+   process. *)
 let migrate_vm t ~vm_id ~dest =
   let info = find_info t vm_id in
   if dest < 0 || dest >= Array.length t.devices then
@@ -430,7 +448,7 @@ let migrate_vm t ~vm_id ~dest =
     info.vi_migrating <- true;
     record_trace t "vm%d migrating dev%d -> dev%d" vm_id src.dev_id dst.dev_id;
     Server.pause_vm src.dev_server ~vm_id;
-    Engine.delay t.drain_ns;
+    Engine.delay drain_window;
     (* The drain is a suspension point: another process may have retired
        the VM (admit/retire churn) while we slept.  A retired VM has no
        residency, no server entry and no router flow left — abort the
@@ -441,37 +459,21 @@ let migrate_vm t ~vm_id ~dest =
       0
     end
     else begin
-    let router_end, server_end = Transport.direct t.engine in
-    ignore (Server.attach_vm dst.dev_server ~vm_id ~ep:server_end);
-    let bytes = t.transfer ~vm_id ~src:src.dev_id ~dst:dest in
-    (* Seed the destination's in-order cursor only now, after the
-       transfer, in the same synchronous step as the re-steer.  The
-       drain window is a grace period, not a handshake: a blocking call
-       the source had already picked up (a [clFinish] riding out its
-       kernels) can complete — and be answered — during the transfer.
-       A cursor snapshotted at drain-end would still name that seq,
-       and the destination would wait forever for a call whose reply
-       the guest already consumed.  There is no suspension point
-       between here and [resteer], so the ledger cannot shift under
-       the snapshot. *)
-    let seq = Router.next_seq t.router ~vm_id in
-    Server.set_expected dst.dev_server ~vm_id ~seq;
-    (* Carry the reply log: a reply the source sent but the link lost
-       must still be replayable at the destination when the stub
-       retransmits its seq (which now reads as a pre-cursor dup). *)
-    Server.import_replies dst.dev_server ~vm_id
-      (Server.export_replies src.dev_server ~vm_id);
-    Router.resteer t.router ~vm_id ~backend:dest ~server_side:router_end;
-    (* After [transfer] — it still needs the source context and silo. *)
-    Server.detach_vm src.dev_server ~vm_id;
-    src.dev_resident <- List.filter (fun v -> v <> vm_id) src.dev_resident;
-    dst.dev_resident <- vm_id :: dst.dev_resident;
-    info.vi_device <- dest;
-    info.vi_migrating <- false;
-    t.migrations <- t.migrations + 1;
-    record_trace t "vm%d now on dev%d (expected seq %d, %dB moved)" vm_id
-      dest seq bytes;
-    bytes
+      let bytes, seq =
+        hand_over t.engine ~router:t.router ~vm_id ~src:src.dev_server
+          ~dst:dst.dev_server
+          ~transfer:(fun () -> t.transfer ~vm_id ~src:src.dev_id ~dst:dest)
+          ~steer:(fun server_side ->
+            Router.resteer t.router ~vm_id ~backend:dest ~server_side)
+      in
+      src.dev_resident <- List.filter (fun v -> v <> vm_id) src.dev_resident;
+      dst.dev_resident <- vm_id :: dst.dev_resident;
+      info.vi_device <- dest;
+      info.vi_migrating <- false;
+      t.migrations <- t.migrations + 1;
+      record_trace t "vm%d now on dev%d (expected seq %d, %dB moved)" vm_id
+        dest seq bytes;
+      bytes
     end
   end
 
@@ -643,8 +645,8 @@ let stop t = t.stopped <- true
    only bookkeeps its side of the hand-off: [begin_emigration] claims
    the VM under the same first-mover-wins flag that serializes local
    migrations (so the skew monitor, evacuation and retirement all keep
-   their hands off while the cluster orchestrates pause / drain /
-   replay / cross-router transfer), and [complete_emigration] drops
+   their hands off while the cluster pauses, drains and runs
+   [hand_over] across two routers), and [complete_emigration] drops
    residency and the VM entry without detaching the server — the
    cluster detaches the source entry itself, after the transfer closure
    has finished with the source context and silo. *)

@@ -9,11 +9,11 @@
 
     The pool is generic over the silo state ['st]: the API-specific
     work of moving a VM's silo between devices — replaying the record
-    log, restoring buffer contents — is injected as the [transfer]
-    closure by the stack-assembly layer ({!Ava_core.Host}).  The pool
-    owns the orchestration: placement, the pause / drain / attach /
-    re-steer migration sequence, device-loss evacuation with blame
-    routing, and the periodic skew monitor. *)
+    log, restoring buffer contents ({!Ava_core.Silo.transfer}) — is
+    injected as the [transfer] closure by the stack-assembly layer
+    ({!Ava_core.Host}).  The pool owns the orchestration: placement, the
+    pause / drain / {!hand_over} migration sequence, device-loss
+    evacuation with blame routing, and the periodic skew monitor. *)
 
 open Ava_sim
 open Ava_device
@@ -75,32 +75,23 @@ type 'st t
 
 val create :
   ?trace:Trace.t ->
-  ?drain_ns:Time.t ->
-  Engine.t ->
-  router:Router.t ->
-  placement:placement ->
-  transfer:(vm_id:int -> src:int -> dst:int -> int) ->
-  (Gpu.t * 'st Server.t) list ->
-  'st t
-(** [create engine ~router ~placement ~transfer devices] assumes
-    ownership of [devices] in order (device ids are list positions) and
-    registers a router dispatch lane per device beyond lane 0.
-    [transfer] performs the API-specific silo copy between two device
-    ids for a VM already attached to both servers, returning the bytes
-    moved.  [drain_ns] is the quiesce window a migration waits after
-    pausing the source worker (default 200 us).  All devices are
-    [Cap_gpu]; behaviour is identical to the pre-heterogeneity pool. *)
-
-val create_het :
-  ?trace:Trace.t ->
-  ?drain_ns:Time.t ->
   Engine.t ->
   router:Router.t ->
   placement:placement ->
   transfer:(vm_id:int -> src:int -> dst:int -> int) ->
   (phys * 'st Server.t) list ->
   'st t
-(** Like {!create} over an explicitly tagged, possibly mixed fleet. *)
+(** [create engine ~router ~placement ~transfer devices] assumes
+    ownership of [devices] in order (device ids are list positions) and
+    registers a router dispatch lane per device beyond lane 0.  A
+    homogeneous GPU fleet tags each device with {!phys_of_gpu}.
+    [transfer] performs the API-specific silo copy between two device
+    ids for a VM already attached to both servers, returning the bytes
+    moved. *)
+
+val drain_window : Time.t
+(** How long a migration waits after pausing the source worker for
+    calls already at the source to finish (200 us). *)
 
 (** {1 Read-out} *)
 
@@ -198,14 +189,32 @@ val migrate_vm : 'st t -> vm_id:int -> dest:int -> int
     at-least-once, the same contract as the restart/requeue path.  Must
     run inside a simulation process. *)
 
+val hand_over :
+  Engine.t ->
+  router:Router.t ->
+  vm_id:int ->
+  src:'st Server.t ->
+  dst:'st Server.t ->
+  transfer:(unit -> int) ->
+  steer:(Ava_transport.Transport.endpoint -> unit) ->
+  int * int
+(** The ordered hand-over every live move shares, same-host
+    ({!migrate_vm}) or cross-host ({!Ava_cluster.Cluster.migrate_tenant}):
+    attach [dst] over a fresh host-internal queue, run [transfer]
+    (returns bytes moved), seed [dst]'s in-order cursor from [router]
+    (the router currently holding the VM's flow), carry the reply log
+    from [src], [steer] the flow onto the new queue's router end, and
+    detach [src].  The caller has paused [src]'s worker and waited out
+    {!drain_window}.  Returns (bytes moved, seeded seq).  Must run
+    inside a simulation process. *)
+
 (** {1 Cross-host emigration}
 
     The cluster tier ({!Ava_cluster.Cluster}) moves a VM to {e another
     host's} pool; this pool only bookkeeps its side of the hand-off.
     The cluster calls [begin_emigration] before pausing the source
-    worker, orchestrates drain / replay / cross-router transfer itself,
-    detaches the source server entry, and finishes with
-    [complete_emigration]. *)
+    worker, drains, runs {!hand_over} across the two routers, and
+    finishes with [complete_emigration]. *)
 
 val begin_emigration : 'st t -> vm_id:int -> int option
 (** Claim the VM for a cross-host move under the same first-mover-wins

@@ -5,9 +5,9 @@
    and modification history, so the replay log stays proportional to live
    state, not to execution length.
 
-   Migration itself is orchestrated by {!Ava_core}: suspend the VM's
-   worker, snapshot device buffers, replay the log on the destination,
-   restore buffers, resume. *)
+   Migration itself is orchestrated by {!Ava_core.Silo.transfer}:
+   snapshot device buffers, replay the log on the destination, restore
+   buffers. *)
 
 module Plan = Ava_codegen.Plan
 
@@ -133,11 +133,3 @@ let live_objects t =
       | Object_alloc, Some h -> Some h
       | _ -> None)
     (replay_log t)
-
-(* Replay all recorded calls through [execute] (typically a fresh API
-   server on the destination host).  Returns the number of replayed
-   calls. *)
-let replay t ~execute =
-  let l = replay_log t in
-  List.iter (fun r -> execute ~fn:r.rc_fn ~args:r.rc_args) l;
-  List.length l

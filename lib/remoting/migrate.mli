@@ -30,7 +30,8 @@ val observe : ?allocated:int -> t -> Plan.call_plan -> Message.call -> unit
     handle), which argument inspection cannot recover. *)
 
 val replay_log : t -> recorded list
-(** In execution order. *)
+(** In execution order: the order {!Ava_core.Silo.transfer} replays it
+    onto the destination silo. *)
 
 val log_length : t -> int
 val recorded_count : t -> int
@@ -38,7 +39,3 @@ val pruned_count : t -> int
 
 val live_objects : t -> int list
 (** Tracked ids whose allocation is still in the log. *)
-
-val replay : t -> execute:(fn:string -> args:Wire.value list -> unit) -> int
-(** Re-issue every recorded call in order (typically against a fresh API
-    server on the destination); returns the count. *)

@@ -1452,28 +1452,54 @@ let migrate_tests =
         Alcotest.(check (list int)) "only 5001" [ 5001 ]
           (Migrate.live_objects t);
         Alcotest.(check int) "pruned count" 2 (Migrate.pruned_count t));
-    Alcotest.test_case "replay preserves order" `Quick (fun () ->
-        let plan = Result.get_ok (Plan.compile (Ava_spec.Specs.load_simcl ())) in
-        let alloc_plan = Option.get (Plan.find plan "clCreateBuffer") in
-        let t = Migrate.create () in
-        for i = 1 to 5 do
-          Migrate.observe ~allocated:(5000 + i) t alloc_plan
-            {
-              Message.call_seq = 0;
-              call_vm = 1;
-              call_fn = "clCreateBuffer";
-              call_args = [ Wire.Handle 4096L; Wire.int 0; Wire.int i; Wire.Unit ];
-            }
-        done;
-        let seen = ref [] in
-        let n =
-          Migrate.replay t ~execute:(fun ~fn:_ ~args ->
-              match args with
-              | [ _; _; Wire.I64 i; _ ] -> seen := Int64.to_int i :: !seen
-              | _ -> ())
-        in
-        Alcotest.(check int) "count" 5 n;
-        Alcotest.(check (list int)) "order" [ 1; 2; 3; 4; 5 ] (List.rev !seen));
+    Alcotest.test_case "replay order on migration" `Quick (fun () ->
+        (* The one migration procedure replays the record log in order:
+           buffers re-created on the destination device get ascending
+           device ids in the order the guest created them, each bound
+           back to its original handle. *)
+        let module Clutil = Ava_workloads.Clutil in
+        let e = Engine.create () in
+        let host = Host.create_cl_host e in
+        let guest = Host.add_cl_vm host ~name:"order" in
+        let vm_id = Ava_hv.Vm.id guest.Host.g_vm in
+        let module CL = (val guest.Host.g_api) in
+        Engine.run_process e (fun () ->
+            let s = Clutil.open_session guest.Host.g_api in
+            let sizes = List.init 5 (fun i -> 4096 * (i + 1)) in
+            let mems =
+              List.map
+                (fun size ->
+                  Clutil.ok (CL.clCreateBuffer s.Clutil.context ~size))
+                sizes
+            in
+            Clutil.finish s;
+            let logged =
+              Migrate.log_length (Option.get (Host.recorder host ~vm_id))
+            in
+            let dest_kd =
+              Ava_simcl.Kdriver.create (Ava_device.Gpu.create e)
+            in
+            let report = Ava_core.Migration.migrate host ~vm_id ~dest_kd in
+            Alcotest.(check int) "count" logged
+              report.Ava_core.Migration.replayed_calls;
+            let ctx = Option.get (Server.vm_ctx host.Host.server ~vm_id) in
+            let state =
+              Option.get (Server.vm_state host.Host.server ~vm_id)
+            in
+            let bufs =
+              List.map
+                (fun m ->
+                  Option.get
+                    (Ava_simcl.Native.find_mem
+                       state.Ava_core.Cl_handlers.native
+                       (Option.get (Server.Ctx.resolve ctx m))))
+                mems
+            in
+            Alcotest.(check (list int)) "sizes in creation order" sizes
+              (List.map (fun b -> b.Ava_device.Gpu.size) bufs);
+            let ids = List.map (fun b -> b.Ava_device.Gpu.buf_id) bufs in
+            Alcotest.(check (list int)) "ids ascend in replay order"
+              (List.sort compare ids) ids));
   ]
 
 let swap_tests =
