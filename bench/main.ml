@@ -1672,7 +1672,13 @@ let microbench () =
   let read_plan =
     Option.get (Ava_codegen.Plan.find plan "clEnqueueReadBuffer")
   in
-  let env = [ ("blocking_read", 1); ("offset", 0); ("size", 65536) ] in
+  let read_args =
+    Ava_remoting.Wire.
+      [
+        Handle 1L; Handle 2L; int 1; int 0; int 65536; Unit; int 0; List [];
+        Unit;
+      ]
+  in
   let tests =
     [
       Test.make ~name:"wire-encode"
@@ -1681,10 +1687,9 @@ let microbench () =
         (Staged.stage (fun () -> ignore (Ava_remoting.Wire.decode encoded)));
       Test.make ~name:"plan-sync-decision"
         (Staged.stage (fun () ->
-             ignore (Ava_codegen.Plan.is_sync read_plan ~env)));
-      Test.make ~name:"plan-payload-size"
-        (Staged.stage (fun () ->
-             ignore (Ava_codegen.Plan.request_bytes read_plan ~env)));
+             ignore
+               (Ava_codegen.Plan.is_sync read_plan
+                  ~to_int:Ava_remoting.Wire.to_int read_args)));
       Test.make ~name:"spec-parse-simcl"
         (Staged.stage (fun () -> ignore (Ava_spec.Specs.load_simcl ())));
     ]

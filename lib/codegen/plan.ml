@@ -10,12 +10,24 @@
 
 open Ava_spec.Ast
 
+(* A spec expression with every parameter name resolved to the position
+   of a scalar parameter of its function; a name that is unknown or not
+   scalar is [Unbound]. *)
+type arg_expr =
+  | Lit of int
+  | Arg of int
+  | Unbound
+  | Add of arg_expr * arg_expr
+  | Sub of arg_expr * arg_expr
+  | Mul of arg_expr * arg_expr
+  | Div of arg_expr * arg_expr
+
 type arg_action =
   | Pass_scalar  (** by-value integer/float *)
   | Pass_handle  (** opaque handle forwarded verbatim *)
-  | Copy_in_buffer of { len : expr; elem_size : int }
-  | Alloc_out_buffer of { len : expr; elem_size : int }
-  | Copy_in_out_buffer of { len : expr; elem_size : int }
+  | Copy_in_buffer of { len : arg_expr; elem_size : int }
+  | Alloc_out_buffer of { len : arg_expr; elem_size : int }
+  | Copy_in_out_buffer of { len : arg_expr; elem_size : int }
   | In_element  (** single-element input pointer *)
   | Out_element of { allocates : bool }
   | In_out_element
@@ -26,7 +38,7 @@ type arg_action =
 type sync_plan =
   | Always_sync
   | Always_async
-  | Sync_when_eq of { sp_param : string; sp_value : int }
+  | Sync_when_eq of { sp_arg : int; sp_value : int }
   | Sync_on_completion of { sp_key : string }
       (** forwarded synchronously; the reply is withheld until work
           ordered before the named handle (event/stream) completes *)
@@ -39,7 +51,7 @@ type call_plan = {
           orders this call's server-side execution *)
   cp_params : (string * arg_action) list;
   cp_record : record_class;
-  cp_resources : (string * expr) list;
+  cp_resources : (string * arg_expr) list;
   cp_dealloc_params : string list;
       (** parameters whose handle is deallocated by this call *)
   cp_target_param : string option;
@@ -52,14 +64,39 @@ type t = {
   order : string list;
 }
 
-let compile_param p =
+(* Position of the scalar parameter [name] among [params]; on a repeated
+   name the last one wins, as in a by-name binding built left to right. *)
+let scalar_position params name =
+  let rec go i found = function
+    | [] -> found
+    | { p_name; p_kind = Scalar; _ } :: rest when String.equal p_name name ->
+        go (i + 1) (Some i) rest
+    | _ :: rest -> go (i + 1) found rest
+  in
+  go 0 None params
+
+let rec resolve params : expr -> arg_expr = function
+  | Const n -> Lit n
+  | Param name -> (
+      match scalar_position params name with
+      | Some k -> Arg k
+      | None -> Unbound)
+  | Add (a, b) -> Add (resolve params a, resolve params b)
+  | Sub (a, b) -> Sub (resolve params a, resolve params b)
+  | Mul (a, b) -> Mul (resolve params a, resolve params b)
+  | Div (a, b) -> Div (resolve params a, resolve params b)
+
+let compile_param params p =
+  let buffer len = resolve params len in
   match (p.p_kind, p.p_direction) with
   | Scalar, _ -> Ok Pass_scalar
   | Handle, _ -> Ok Pass_handle
-  | Buffer { len; elem_size }, In -> Ok (Copy_in_buffer { len; elem_size })
-  | Buffer { len; elem_size }, Out -> Ok (Alloc_out_buffer { len; elem_size })
+  | Buffer { len; elem_size }, In ->
+      Ok (Copy_in_buffer { len = buffer len; elem_size })
+  | Buffer { len; elem_size }, Out ->
+      Ok (Alloc_out_buffer { len = buffer len; elem_size })
   | Buffer { len; elem_size }, In_out ->
-      Ok (Copy_in_out_buffer { len; elem_size })
+      Ok (Copy_in_out_buffer { len = buffer len; elem_size })
   | Element _, In -> Ok In_element
   | Element { allocates }, Out -> Ok (Out_element { allocates })
   | Element _, In_out -> Ok In_out_element
@@ -72,17 +109,24 @@ let compile_param p =
         (Printf.sprintf "parameter %S has unresolved kind; refine the spec"
            p.p_name)
 
+(* A condition on a parameter that is not a scalar of the function can
+   never be bound, so it forces sync on every call. *)
 let compile_sync spec fn =
+  let when_eq cond_param v =
+    match scalar_position fn.f_params cond_param with
+    | Some sp_arg -> Sync_when_eq { sp_arg; sp_value = v }
+    | None -> Always_sync
+  in
   match fn.f_sync with
   | Sync -> Ok Always_sync
   | Async -> Ok Always_async
   | Sync_on { sync_param } -> Ok (Sync_on_completion { sp_key = sync_param })
   | Sync_if { cond_param; cond_const } -> (
       match int_of_string_opt cond_const with
-      | Some v -> Ok (Sync_when_eq { sp_param = cond_param; sp_value = v })
+      | Some v -> Ok (when_eq cond_param v)
       | None -> (
           match find_constant spec cond_const with
-          | Some v -> Ok (Sync_when_eq { sp_param = cond_param; sp_value = v })
+          | Some v -> Ok (when_eq cond_param v)
           | None ->
               Error
                 (Printf.sprintf "unknown constant %S in sync condition"
@@ -92,7 +136,7 @@ let compile_fn spec fn =
   let rec params acc = function
     | [] -> Ok (List.rev acc)
     | p :: rest -> (
-        match compile_param p with
+        match compile_param fn.f_params p with
         | Ok a -> params ((p.p_name, a) :: acc) rest
         | Error e -> Error (Printf.sprintf "%s: %s" fn.f_name e))
   in
@@ -109,7 +153,10 @@ let compile_fn spec fn =
               cp_stream = fn.f_stream;
               cp_params;
               cp_record = fn.f_record;
-              cp_resources = fn.f_resources;
+              cp_resources =
+                List.map
+                  (fun (name, e) -> (name, resolve fn.f_params e))
+                  fn.f_resources;
               cp_dealloc_params =
                 List.filter_map
                   (fun p -> if p.p_deallocates then Some p.p_name else None)
@@ -143,54 +190,35 @@ let find t name = Hashtbl.find_opt t.plans name
 let function_count t = List.length t.order
 let api t = t.plan_api
 
-(* --- runtime queries (driven by actual argument values) ---------------- *)
+(* --- runtime queries (driven by the call's arguments, by position) ----- *)
 
-(* [env] binds scalar parameter names to their runtime values. *)
-let eval_len env e =
-  match eval_expr env e with Ok v -> Stdlib.max 0 v | Error _ -> 0
+(* An expression has no value: it reads an unbound argument or divides
+   by zero. *)
+exception No_value
 
-let buffer_bytes env = function
-  | Copy_in_buffer { len; elem_size }
-  | Alloc_out_buffer { len; elem_size }
-  | Copy_in_out_buffer { len; elem_size } ->
-      eval_len env len * elem_size
-  | Pass_scalar | Pass_handle | In_element | Out_element _ | In_out_element
-  | Pass_callback | In_struct _ | Out_struct _ ->
-      0
+(* The arguments a query may read: all of them when the vector has the
+   plan's arity, none otherwise. *)
+let bind plan args =
+  if List.compare_lengths plan.cp_params args = 0 then args else []
 
-(* Marshalled request payload: scalars/handles + in-buffers. *)
-let request_bytes plan ~env =
-  List.fold_left
-    (fun acc (_, action) ->
-      acc
-      +
-      match action with
-      | Pass_scalar | Pass_handle | Pass_callback -> 8
-      | In_element | In_out_element -> 8
-      | In_struct n -> 8 + (8 * n)
-      | Out_struct _ -> 8
-      | Copy_in_buffer _ as a -> 8 + buffer_bytes env a
-      | Copy_in_out_buffer _ as a -> 8 + buffer_bytes env a
-      | Alloc_out_buffer _ -> 8 (* length descriptor only *)
-      | Out_element _ -> 8)
-    16 (* call header: function id, sequence number *)
-    plan.cp_params
+let arg to_int args k =
+  match args with
+  | [] -> raise_notrace No_value
+  | _ -> (
+      match to_int (List.nth args k) with
+      | Some v -> v
+      | None -> raise_notrace No_value)
 
-(* Marshalled reply payload: return value + out-buffers/elements. *)
-let reply_bytes plan ~env =
-  List.fold_left
-    (fun acc (_, action) ->
-      acc
-      +
-      match action with
-      | Alloc_out_buffer _ as a -> 8 + buffer_bytes env a
-      | Copy_in_out_buffer _ as a -> 8 + buffer_bytes env a
-      | Out_element _ | In_out_element -> 8
-      | Out_struct n -> 8 + (8 * n)
-      | Pass_scalar | Pass_handle | Pass_callback | In_element
-      | Copy_in_buffer _ | In_struct _ ->
-          0)
-    16 plan.cp_params
+let rec eval to_int args = function
+  | Lit n -> n
+  | Arg k -> arg to_int args k
+  | Unbound -> raise_notrace No_value
+  | Add (a, b) -> eval to_int args a + eval to_int args b
+  | Sub (a, b) -> eval to_int args a - eval to_int args b
+  | Mul (a, b) -> eval to_int args a * eval to_int args b
+  | Div (a, b) ->
+      let x = eval to_int args a and y = eval to_int args b in
+      if y = 0 then raise_notrace No_value else x / y
 
 (* Does the call produce any output the caller could observe? *)
 let has_outputs plan =
@@ -205,19 +233,26 @@ let has_outputs plan =
           false)
     plan.cp_params
 
-(* Synchrony decision for one concrete invocation. *)
-let is_sync plan ~env =
+let is_sync plan ~to_int args =
   match plan.cp_sync with
-  | Always_sync -> true
+  | Always_sync | Sync_on_completion _ -> true
   | Always_async -> false
-  | Sync_on_completion _ -> true
-  | Sync_when_eq { sp_param; sp_value } -> (
-      match List.assoc_opt sp_param env with
-      | Some v -> v = sp_value
-      | None -> true (* conservative: unknown condition forces sync *))
+  | Sync_when_eq { sp_arg; sp_value } -> (
+      (* conservative: an unbound condition forces sync *)
+      try arg to_int (bind plan args) sp_arg = sp_value
+      with No_value -> true)
 
-(* Resource estimate named [resource] for one invocation, if declared. *)
-let resource_estimate plan ~env name =
+let resource_estimate plan ~to_int args name =
   match List.assoc_opt name plan.cp_resources with
   | None -> None
-  | Some e -> Some (eval_len env e)
+  | Some e -> (
+      try Some (Stdlib.max 0 (eval to_int (bind plan args) e))
+      with No_value -> Some 0)
+
+let call_cost plan ~to_int args =
+  match resource_estimate plan ~to_int args "device_time" with
+  | Some c -> float_of_int (Stdlib.max 1 c)
+  | None -> (
+      match resource_estimate plan ~to_int args "bus_bytes" with
+      | Some b -> float_of_int (Stdlib.max 1 (b / 64))
+      | None -> 1.0)

@@ -9,13 +9,20 @@
 
 open Ava_spec.Ast
 
+type arg_expr
+(** A spec expression (buffer length or resource estimate) compiled
+    against its function's parameter list: every parameter name is
+    resolved to the position of a scalar parameter, so evaluating it
+    reads the call's arguments by position.  A name that is unknown or
+    not scalar never binds. *)
+
 (** What the generated stub does with one parameter. *)
 type arg_action =
   | Pass_scalar  (** by-value integer/float *)
   | Pass_handle  (** opaque handle forwarded verbatim *)
-  | Copy_in_buffer of { len : expr; elem_size : int }
-  | Alloc_out_buffer of { len : expr; elem_size : int }
-  | Copy_in_out_buffer of { len : expr; elem_size : int }
+  | Copy_in_buffer of { len : arg_expr; elem_size : int }
+  | Alloc_out_buffer of { len : arg_expr; elem_size : int }
+  | Copy_in_out_buffer of { len : arg_expr; elem_size : int }
   | In_element  (** single-element input pointer *)
   | Out_element of { allocates : bool }
   | In_out_element
@@ -26,7 +33,10 @@ type arg_action =
 type sync_plan =
   | Always_sync
   | Always_async
-  | Sync_when_eq of { sp_param : string; sp_value : int }
+  | Sync_when_eq of { sp_arg : int; sp_value : int }
+      (** sync when the scalar argument at position [sp_arg] equals
+          [sp_value]; a condition on a name that is not a scalar
+          parameter compiles to [Always_sync] *)
   | Sync_on_completion of { sp_key : string }
       (** forwarded synchronously; the reply is withheld until work
           ordered before the named handle (event/stream) completes *)
@@ -39,7 +49,7 @@ type call_plan = {
           orders this call's server-side execution *)
   cp_params : (string * arg_action) list;
   cp_record : record_class;
-  cp_resources : (string * expr) list;
+  cp_resources : (string * arg_expr) list;
   cp_dealloc_params : string list;
       (** parameters whose handle this call deallocates *)
   cp_target_param : string option;
@@ -60,22 +70,28 @@ val find : t -> string -> call_plan option
 val function_count : t -> int
 val api : t -> string
 
-(** {1 Runtime queries} — driven by actual argument values; [env] binds
-    scalar parameter names. *)
+(** {1 Runtime queries}
 
-val request_bytes : call_plan -> env:(string * int) list -> int
-(** Marshalled request payload: scalars/handles plus in-buffers. *)
-
-val reply_bytes : call_plan -> env:(string * int) list -> int
-(** Marshalled reply payload: return value plus out-buffers/elements. *)
+    Driven by one call's arguments, read by position: [to_int] gives an
+    argument's integer value, or [None] when it has none (that parameter
+    is then unbound).  A vector whose length differs from the plan's
+    parameter count binds nothing. *)
 
 val has_outputs : call_plan -> bool
 (** Does the call produce anything the caller could observe? *)
 
-val is_sync : call_plan -> env:(string * int) list -> bool
-(** Synchrony decision for one concrete invocation; unknown condition
-    parameters conservatively force sync. *)
+val is_sync : call_plan -> to_int:('a -> int option) -> 'a list -> bool
+(** Synchrony decision for one concrete invocation; an unbound condition
+    parameter conservatively forces sync.  [Always_*] plans read no
+    argument. *)
 
 val resource_estimate :
-  call_plan -> env:(string * int) list -> string -> int option
-(** The named resource estimate for one invocation, if declared. *)
+  call_plan -> to_int:('a -> int option) -> 'a list -> string -> int option
+(** The named resource estimate for one invocation, if declared.  It is
+    clamped at 0; an unbound parameter or a zero divisor makes it 0. *)
+
+val call_cost : call_plan -> to_int:('a -> int option) -> 'a list -> float
+(** The cost of one invocation in WFQ units, which the router charges
+    to the caller's flow and the server's watchdog turns into a time
+    budget: the [device_time] estimate, else [bus_bytes / 64], else 1;
+    never below 1. *)

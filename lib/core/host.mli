@@ -77,10 +77,6 @@ type cl_guest = {
   g_technique : technique;
 }
 
-val sync_everything : Ava_spec.Ast.api_spec -> Ava_spec.Ast.api_spec
-(** Strip every async annotation: the unoptimized spec of the §5
-    ablation. *)
-
 val load_cl_plan :
   ?sync_only:bool -> unit -> Ava_spec.Ast.api_spec * Plan.t
 (** The built-in SimCL spec and its compiled plan.  Memoized: parsed

@@ -23,8 +23,8 @@ let finish stub result parse =
             Error (status_error reply.Message.reply_status)
           else parse reply)
 
-let fire stub ~fn ~env ~args ok =
-  match Stub.invoke stub ~fn ~env ~args with
+let fire stub ~fn ~args ok =
+  match Stub.invoke stub ~fn ~args with
   | Error _ -> Error General_error
   | Ok None -> Ok ok
   | Ok (Some (reply : Message.reply)) ->
@@ -32,8 +32,8 @@ let fire stub ~fn ~env ~args ok =
         Error (status_error reply.Message.reply_status)
       else Ok ok
 
-let sync stub ~fn ~env ~args parse =
-  finish stub (Stub.invoke ~force_sync:true stub ~fn ~env ~args) parse
+let sync stub ~fn ~args parse =
+  finish stub (Stub.invoke ~force_sync:true stub ~fn ~args) parse
 
 let out_exn (reply : Message.reply) n =
   match List.nth_opt reply.Message.reply_outs n with
@@ -45,13 +45,11 @@ let create stub =
   let module M = struct
     let mvncGetDeviceName ~index =
       sync t.stub ~fn:"mvncGetDeviceName"
-        ~env:[ ("index", index); ("name_size", 64) ]
         ~args:[ i index; u; i 64 ]
         (fun reply -> Ok (Bytes.to_string (to_b (out_exn reply 0))))
 
     let mvncOpenDevice ~name =
       sync t.stub ~fn:"mvncOpenDevice"
-        ~env:[ ("name_size", String.length name) ]
         ~args:[ b (Bytes.of_string name); i (String.length name); u ]
         (fun reply ->
           match reply.Message.reply_ret with
@@ -62,11 +60,10 @@ let create stub =
           | _ -> Error General_error)
 
     let mvncCloseDevice d =
-      sync t.stub ~fn:"mvncCloseDevice" ~env:[] ~args:[ h d ] (fun _ -> Ok ())
+      sync t.stub ~fn:"mvncCloseDevice" ~args:[ h d ] (fun _ -> Ok ())
 
     let mvncAllocateGraph d ~graph_data =
       sync t.stub ~fn:"mvncAllocateGraph"
-        ~env:[ ("graph_data_size", Bytes.length graph_data) ]
         ~args:[ h d; u; b (Bytes.copy graph_data); i (Bytes.length graph_data) ]
         (fun reply ->
           match reply.Message.reply_ret with
@@ -77,37 +74,32 @@ let create stub =
           | _ -> Error General_error)
 
     let mvncDeallocateGraph g =
-      sync t.stub ~fn:"mvncDeallocateGraph" ~env:[] ~args:[ h g ] (fun _ ->
+      sync t.stub ~fn:"mvncDeallocateGraph" ~args:[ h g ] (fun _ ->
           Ok ())
 
     (* The NCSDK's own pipelining call: forwarded asynchronously. *)
     let mvncLoadTensor g ~tensor =
       fire t.stub ~fn:"mvncLoadTensor"
-        ~env:[ ("tensor_size", Bytes.length tensor) ]
         ~args:[ h g; b (Bytes.copy tensor); i (Bytes.length tensor) ]
         ()
 
     let mvncGetResult g =
       sync t.stub ~fn:"mvncGetResult"
-        ~env:[ ("result_size", 1 lsl 20) ]
         ~args:[ h g; u; i (1 lsl 20) ]
         (fun reply -> Ok (to_b (out_exn reply 0)))
 
     let mvncGetGraphOption g opt =
       sync t.stub ~fn:"mvncGetGraphOption"
-        ~env:[ ("option", graph_option_to_int opt) ]
         ~args:[ h g; i (graph_option_to_int opt); u ]
         (fun reply -> Ok (to_i (out_exn reply 0)))
 
     let mvncSetGraphOption g opt v =
       sync t.stub ~fn:"mvncSetGraphOption"
-        ~env:[ ("option", graph_option_to_int opt); ("value", v) ]
         ~args:[ h g; i (graph_option_to_int opt); i v ]
         (fun _ -> Ok ())
 
     let mvncGetDeviceOption d opt =
       sync t.stub ~fn:"mvncGetDeviceOption"
-        ~env:[ ("option", device_option_to_int opt) ]
         ~args:[ h d; i (device_option_to_int opt); u ]
         (fun reply -> Ok (to_i (out_exn reply 0)))
   end in

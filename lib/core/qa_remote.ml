@@ -24,8 +24,8 @@ let finish stub result parse =
             Error (status_of_code reply.Message.reply_status)
           else parse reply)
 
-let sync stub ~fn ~env ~args parse =
-  finish stub (Stub.invoke ~force_sync:true stub ~fn ~env ~args) parse
+let sync stub ~fn ~args parse =
+  finish stub (Stub.invoke ~force_sync:true stub ~fn ~args) parse
 
 let out_exn (reply : Message.reply) n =
   match List.nth_opt reply.Message.reply_outs n with
@@ -43,32 +43,29 @@ let create stub =
   let t = { stub } in
   let module M = struct
     let qaGetNumInstances () =
-      sync t.stub ~fn:"qaGetNumInstances" ~env:[] ~args:[ u ] (fun reply ->
+      sync t.stub ~fn:"qaGetNumInstances" ~args:[ u ] (fun reply ->
           Ok (to_i (out_exn reply 0)))
 
     let qaStartInstance ~index =
       sync t.stub ~fn:"qaStartInstance"
-        ~env:[ ("index", index) ]
         ~args:[ i index; u ]
         ret_handle
 
     let qaStopInstance inst =
-      sync t.stub ~fn:"qaStopInstance" ~env:[] ~args:[ h inst ] (fun _ ->
+      sync t.stub ~fn:"qaStopInstance" ~args:[ h inst ] (fun _ ->
           Ok ())
 
     let qaCreateSession inst direction ~level =
       sync t.stub ~fn:"qaCreateSession"
-        ~env:[ ("direction", direction_to_int direction); ("level", level) ]
         ~args:[ h inst; i (direction_to_int direction); i level; u ]
         ret_handle
 
     let qaRemoveSession sess =
-      sync t.stub ~fn:"qaRemoveSession" ~env:[] ~args:[ h sess ] (fun _ ->
+      sync t.stub ~fn:"qaRemoveSession" ~args:[ h sess ] (fun _ ->
           Ok ())
 
     let xfer fn sess ~src =
       sync t.stub ~fn
-        ~env:[ ("src_size", Bytes.length src); ("dst_size", max_dst) ]
         ~args:
           [ h sess; b (Bytes.copy src); i (Bytes.length src); u; i max_dst ]
         (fun reply -> Ok (to_b (out_exn reply 0)))
@@ -89,7 +86,6 @@ let create stub =
       in
       match
         Stub.invoke t.stub ~fn:"qaSubmitCompress"
-          ~env:[ ("src_size", Bytes.length src); ("tag", tag) ]
           ~args:
             [ h sess; b (Bytes.copy src); i (Bytes.length src); i cb; i tag ]
       with
@@ -101,13 +97,13 @@ let create stub =
           else Ok ()
 
     let qaGetStats inst =
-      sync t.stub ~fn:"qaGetStats" ~env:[] ~args:[ h inst; u; u ]
+      sync t.stub ~fn:"qaGetStats" ~args:[ h inst; u; u ]
         (fun reply -> Ok (to_i (out_exn reply 0), to_i (out_exn reply 1)))
 
     (* Struct out-parameter: the reply carries the fields as a list, in
        declaration order. *)
     let qaGetStatsEx inst =
-      sync t.stub ~fn:"qaGetStatsEx" ~env:[] ~args:[ h inst; u ]
+      sync t.stub ~fn:"qaGetStatsEx" ~args:[ h inst; u ]
         (fun reply ->
           match to_l (out_exn reply 0) with
           | [ ops; bytes_in; bytes_out ] ->

@@ -181,16 +181,6 @@ let verify t (c : Message.call_view) =
       then Error Server.status_bad_arguments
       else Ok plan
 
-(* Scalar environment for the plan's cost expressions, recovered from the
-   marshalled arguments. *)
-let env_of_call (plan : Plan.call_plan) (c : Message.call_view) =
-  List.fold_left2
-    (fun env (name, action) v ->
-      match (action, v) with
-      | Plan.Pass_scalar, Some n -> (name, n) :: env
-      | _ -> env)
-    [] plan.Plan.cp_params c.Message.cv_args
-
 let reject_call conn (c : Message.call_view) status =
   Hashtbl.replace conn.rejected_status c.Message.cv_seq status;
   let reply =
@@ -403,17 +393,11 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
               if tracing t then
                 record_trace t "vm%d %s seq=%d" (Vm.id vm) c.Message.cv_fn
                   c.Message.cv_seq;
-              let env = env_of_call plan c in
               (match conn.bucket with
               | Some b -> Policy.Token_bucket.take b 1.0
               | None -> ());
               let cost =
-                match Plan.resource_estimate plan ~env "device_time" with
-                | Some c -> float_of_int (Stdlib.max 1 c)
-                | None -> (
-                    match Plan.resource_estimate plan ~env "bus_bytes" with
-                    | Some b -> float_of_int (Stdlib.max 1 (b / 64))
-                    | None -> 1.0)
+                Plan.call_cost plan ~to_int:Fun.id c.Message.cv_args
               in
               Vm.charge_device_time vm (int_of_float cost);
               (match conn.quota with

@@ -508,16 +508,16 @@ let send_call t ~fn ~args ~sync ~holdable ~on_reply =
   end;
   p
 
-(* Invoke [fn].  [env] binds scalar parameters by name for the plan's
-   size/synchrony expressions.  [force_sync] overrides the plan when the
-   caller needs outputs immediately (e.g. an event handle it must return).
-   Returns the reply for sync calls; async calls return [Ok None]
-   immediately and deliver their reply through [on_reply]. *)
-let invoke ?(force_sync = false) ?on_reply t ~fn ~env ~args =
+(* Invoke [fn].  The plan decides synchrony from [args] by position;
+   [force_sync] overrides it when the caller needs outputs immediately
+   (e.g. an event handle it must return).  Returns the reply for sync
+   calls; async calls return [Ok None] immediately and deliver their
+   reply through [on_reply]. *)
+let invoke ?(force_sync = false) ?on_reply t ~fn ~args =
   match Plan.find t.plan fn with
   | None -> Error (Printf.sprintf "no plan for function %S" fn)
   | Some plan ->
-      let sync = force_sync || Plan.is_sync plan ~env in
+      let sync = force_sync || Plan.is_sync plan ~to_int:Wire.to_int args in
       (* Holdable: produces nothing and consumes no device resource. *)
       let holdable =
         (not (Plan.has_outputs plan)) && plan.Plan.cp_resources = []
@@ -535,8 +535,8 @@ let invoke ?(force_sync = false) ?on_reply t ~fn ~env ~args =
       end
 
 (* Convenience for callers that always need the reply. *)
-let invoke_sync t ~fn ~env ~args =
-  match invoke ~force_sync:true t ~fn ~env ~args with
+let invoke_sync t ~fn ~args =
+  match invoke ~force_sync:true t ~fn ~args with
   | Ok (Some reply) -> Ok reply
   | Ok None -> assert false
   | Error _ as e -> e

@@ -207,6 +207,37 @@ let async_tests =
             in
             ok (CL.clFinish q);
             Alcotest.(check bytes) "data arrived" (Bytes.make 64 'w') dst));
+    Alcotest.test_case "read synchrony comes from the call's arguments"
+      `Quick (fun () ->
+        run_in_engine (fun e ->
+            let host = Host.create_cl_host e in
+            let guest = Host.add_cl_vm host ~name:"g0" in
+            let stub = Option.get guest.Host.g_stub in
+            let module CL = (val guest.Host.g_api) in
+            let p = List.hd (ok (CL.clGetPlatformIDs ())) in
+            let d = List.hd (ok (CL.clGetDeviceIDs p Device_gpu)) in
+            let ctx = ok (CL.clCreateContext [ d ]) in
+            let q = ok (CL.clCreateCommandQueue ctx d ~profiling:false) in
+            let m = ok (CL.clCreateBuffer ctx ~size:64) in
+            (* No [force_sync]: only [blocking_read] (argument 2) decides. *)
+            let read blocking_read =
+              Stub.invoke stub ~fn:"clEnqueueReadBuffer"
+                ~args:
+                  Codec.
+                    [ h q; h m; i blocking_read; i 0; i 64; u; i 0; l []; u ]
+            in
+            (match read 1 with
+            | Ok (Some reply) ->
+                Alcotest.(check int) "blocking read succeeded" 0
+                  reply.Ava_remoting.Message.reply_status
+            | _ -> Alcotest.fail "blocking read must wait for its reply");
+            let async_before = Stub.async_calls stub in
+            (match read 0 with
+            | Ok None -> ()
+            | _ -> Alcotest.fail "non-blocking read must return at once");
+            Alcotest.(check int) "counted as async" (async_before + 1)
+              (Stub.async_calls stub);
+            ok (CL.clFinish q)));
     Alcotest.test_case "event from async enqueue is waitable" `Quick
       (fun () ->
         run_in_engine (fun e ->
@@ -377,7 +408,7 @@ let isolation_tests =
             let host = Host.create_cl_host e in
             let guest = Host.add_cl_vm host ~name:"g0" in
             let stub = Option.get guest.Host.g_stub in
-            match Stub.invoke stub ~fn:"clEvilFunction" ~env:[] ~args:[] with
+            match Stub.invoke stub ~fn:"clEvilFunction" ~args:[] with
             | Error _ -> ()
             | Ok _ -> Alcotest.fail "stub accepted unspecified function"));
     Alcotest.test_case "router rejects malformed argument counts" `Quick
@@ -388,7 +419,7 @@ let isolation_tests =
             let stub = Option.get guest.Host.g_stub in
             (* clFinish takes exactly one argument. *)
             (match
-               Stub.invoke ~force_sync:true stub ~fn:"clFinish" ~env:[]
+               Stub.invoke ~force_sync:true stub ~fn:"clFinish"
                  ~args:[ Codec.i 1; Codec.i 2 ]
              with
             | Ok (Some reply) ->

@@ -640,8 +640,7 @@ let giveup_time ~vm_id ~jitter =
   Engine.run_process e (fun () ->
       let t0 = Engine.now e in
       (match
-         Stub.invoke ~force_sync:true stub ~fn:"clGetPlatformIDs" ~env:[]
-           ~args:[]
+         Stub.invoke ~force_sync:true stub ~fn:"clGetPlatformIDs" ~args:[]
        with
       | Ok (Some reply) ->
           Alcotest.(check int) "synthesized timeout"

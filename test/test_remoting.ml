@@ -714,8 +714,7 @@ let stub_tests =
         let reply =
           Engine.run_process e (fun () ->
               Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~env:[]
-                   ~args:[ Wire.int 21 ]))
+                (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 21 ]))
         in
         Alcotest.(check bool) "doubled" true
           (Wire.equal reply.Message.reply_ret (Wire.int 42));
@@ -729,12 +728,12 @@ let stub_tests =
         Server.register server "fire" (fun _ _ _ ->
             (-77, Wire.Unit, []));
         Engine.run_process e (fun () ->
-            (match Stub.invoke stub ~fn:"fire" ~env:[] ~args:[ Wire.int 1 ] with
+            (match Stub.invoke stub ~fn:"fire" ~args:[ Wire.int 1 ] with
             | Ok None -> ()
             | _ -> Alcotest.fail "fire should be async");
             let _ =
               Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~env:[] ~args:[ Wire.int 1 ])
+                (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 1 ])
             in
             Alcotest.(check (option (pair string int)))
               "deferred error"
@@ -746,7 +745,7 @@ let stub_tests =
         let plan = mini_plan () in
         let stub, _server = stub_server_pair e plan in
         Engine.run_process e (fun () ->
-            match Stub.invoke stub ~fn:"nope" ~env:[] ~args:[] with
+            match Stub.invoke stub ~fn:"nope" ~args:[] with
             | Error _ -> ()
             | Ok _ -> Alcotest.fail "accepted unplanned function"));
     Alcotest.test_case "unregistered handler is rejected by server" `Quick
@@ -757,7 +756,7 @@ let stub_tests =
         let reply =
           Engine.run_process e (fun () ->
               Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~env:[] ~args:[ Wire.int 1 ]))
+                (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 1 ]))
         in
         Alcotest.(check int) "unknown function status"
           Server.status_unknown_function reply.Message.reply_status;
@@ -783,7 +782,7 @@ let stub_tests =
         let reply =
           Engine.run_process e (fun () ->
               Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~env:[] ~args:[ Wire.int 1 ]))
+                (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 1 ]))
         in
         Alcotest.(check int) "call failed"
           Server.status_bad_arguments reply.Message.reply_status;
@@ -793,7 +792,7 @@ let stub_tests =
         let reply =
           Engine.run_process e (fun () ->
               Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~env:[] ~args:[ Wire.int 2 ]))
+                (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 2 ]))
         in
         Alcotest.(check int) "worker survived" 0 reply.Message.reply_status);
   ]
@@ -827,7 +826,7 @@ let payload_recorder server seen =
 let send_payload stub payload =
   let reply =
     Result.get_ok
-      (Stub.invoke_sync stub ~fn:"ping" ~env:[]
+      (Stub.invoke_sync stub ~fn:"ping"
          ~args:[ Wire.Blob (Bytes.copy payload) ])
   in
   Alcotest.(check int) "status" 0 reply.Message.reply_status;
@@ -1004,7 +1003,7 @@ let sva_tests =
                keep serving. *)
             let reply =
               Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~env:[]
+                (Stub.invoke_sync stub ~fn:"ping"
                    ~args:
                      [
                        Wire.Mapped_ref
