@@ -58,7 +58,8 @@ val save :
   detail:string ->
   Op.trace ->
   unit
-(** Write one corpus file (stable text format, see [test/corpus/]). *)
+(** Write one corpus file (stable text format, see [test/corpus/]).
+    [test_campaign] round-trips a reproducer through [save] and {!load}. *)
 
 val load :
   string -> (Scenario.config * string * Op.trace, string) result

@@ -103,7 +103,6 @@ let host_busy_ns t i =
 let total_devices t = Array.length t.hosts * t.devices_per_host
 let quarantine_host t i = t.hosts.(i).h_quarantined <- true
 let unquarantine_host t i = t.hosts.(i).h_quarantined <- false
-let is_quarantined t i = t.hosts.(i).h_quarantined
 
 let tenant_summaries t =
   match t.obs with None -> [] | Some obs -> Obs.vm_totals obs

@@ -75,10 +75,11 @@ val total_devices : t -> int
 
 val quarantine_host : t -> int -> unit
 (** Take the host out of admission and migration-destination rotation
-    (resident tenants keep running). *)
+    (resident tenants keep running).
+    [test_cluster] checks admission and migration steer around it. *)
 
 val unquarantine_host : t -> int -> unit
-val is_quarantined : t -> int -> bool
+(** [test_cluster] checks admission uses the host again. *)
 
 (** {1 Tenants} *)
 

@@ -68,6 +68,8 @@ val compile : api_spec -> (t, string) result
 
 val find : t -> string -> call_plan option
 val function_count : t -> int
+(** [test_codegen] and [test_simqa] check every spec function is planned. *)
+
 val api : t -> string
 
 (** {1 Runtime queries}
@@ -88,7 +90,8 @@ val is_sync : call_plan -> to_int:('a -> int option) -> 'a list -> bool
 val resource_estimate :
   call_plan -> to_int:('a -> int option) -> 'a list -> string -> int option
 (** The named resource estimate for one invocation, if declared.  It is
-    clamped at 0; an unbound parameter or a zero divisor makes it 0. *)
+    clamped at 0; an unbound parameter or a zero divisor makes it 0.
+    [test_codegen] compares it with the by-name reference evaluator. *)
 
 val call_cost : call_plan -> to_int:('a -> int option) -> 'a list -> float
 (** The cost of one invocation in WFQ units, which the router charges

@@ -31,27 +31,7 @@ let make_state ?swap kd ~vm_id =
 let err e : int * Wire.value * Wire.value list =
   (error_to_code e, Wire.Unit, [])
 
-let ok_unit = (0, Wire.Unit, [])
-let ok_ret ret outs = (0, ret, outs)
-
-let unknown_handle = (Server.status_unknown_handle, Wire.Unit, [])
-
-exception Unknown_handle = Server.Unknown_handle
-
-let resolve ctx v =
-  match Server.Ctx.resolve ctx v with
-  | Some h -> h
-  | None -> raise Unknown_handle
-
 let resolve_list ctx vs = List.map (resolve ctx) vs
-
-(* Wrap a handler body: argument/handle failures become statuses, never
-   exceptions escaping into the server core. *)
-let guard f ctx st args =
-  match f ctx st args with
-  | result -> result
-  | exception Unknown_handle -> unknown_handle
-  | exception Bad_args -> (Server.status_bad_arguments, Wire.Unit, [])
 
 let of_result r k = match r with Ok v -> k v | Error e -> err e
 
@@ -76,14 +56,8 @@ let swap_remove ctx st host =
   | None -> ()
   | Some sw -> Swap.remove sw ~key:(swap_key ctx host)
 
-(* Bind a freshly created host object to a new virtual id. *)
-let bind_fresh ctx ~host =
-  let vid = Server.Ctx.fresh ctx in
-  Server.Ctx.bind ctx ~guest:vid ~host;
-  vid
-
 let register server =
-  let reg name f = Server.register server name (guard f) in
+  let reg = Server.register server in
 
   (* --- platform / device ----------------------------------------------- *)
   reg "clGetPlatformIDs" (fun _ctx st args ->
@@ -341,13 +315,18 @@ let register server =
   (* --- enqueue operations ----------------------------------------------------------- *)
   let bind_event ctx ev_arg host_ev =
     match (ev_arg, host_ev) with
-    | Wire.Handle gid, Some hev ->
-        Server.Ctx.bind ctx ~guest:(Int64.to_int gid) ~host:hev
+    | Wire.Handle _, Some hev ->
+        Server.Ctx.bind ctx ~guest:(to_h ev_arg) ~host:hev
     | Wire.Unit, _ | _, None -> ()
     | _ -> raise Bad_args
   in
+  (* The guest-assigned event id is range-checked here, while the
+     arguments are evaluated: an id outside the native int range fails
+     the call before the native enqueue runs, so nothing is enqueued or
+     bound. *)
   let want_event = function
-    | Wire.Handle _ -> true
+    | Wire.Handle _ as v -> (
+        match Wire.to_int v with Some _ -> true | None -> raise Bad_args)
     | Wire.Unit -> false
     | _ -> raise Bad_args
   in

@@ -7,6 +7,7 @@
    in the request and come back in the reply's out list. *)
 
 module Wire = Ava_remoting.Wire
+module Server = Ava_remoting.Server
 
 let i n = Wire.int n
 let h x = Wire.Handle (Int64.of_int x)
@@ -17,7 +18,7 @@ let l handles = Wire.List (List.map h handles)
 
 (* Alias the server's canonical exception so the dispatch loop's narrow
    catch classifies marshalling failures without a per-handler guard. *)
-exception Bad_args = Ava_remoting.Server.Bad_args
+exception Bad_args = Server.Bad_args
 
 (* Range-checked: an [I64]/[Handle] outside the native [int] range is a
    marshalling error, never a silent wrap. *)
@@ -30,6 +31,33 @@ let to_b = function Wire.Blob x -> x | _ -> raise Bad_args
 let to_l = function
   | Wire.List vs -> List.map to_i vs
   | _ -> raise Bad_args
+
+(* A reply's returned handle, or the silo's failure value [fail] when the
+   reply carries no handle or one outside the native [int] range (never
+   a silently wrapped id). *)
+let ret_handle fail (reply : Ava_remoting.Message.reply) =
+  match reply.Ava_remoting.Message.reply_ret with
+  | Wire.Handle _ as v -> Option.to_result ~none:fail (Wire.to_int v)
+  | _ -> Error fail
+
+(* Server-side handler helpers: replies, and guest virtual ids resolved
+   through (or minted in) the per-VM context.  A handler's marshalling
+   and handle failures propagate as exceptions to the server's dispatch,
+   which maps them to statuses. *)
+
+let ok_unit = (0, Wire.Unit, [])
+let ok_ret ret outs = (0, ret, outs)
+
+let resolve ctx v =
+  match Server.Ctx.resolve ctx v with
+  | Some h -> h
+  | None -> raise Server.Unknown_handle
+
+(* Bind a freshly created host object to a new virtual id. *)
+let bind_fresh ctx ~host =
+  let vid = Server.Ctx.fresh ctx in
+  Server.Ctx.bind ctx ~guest:vid ~host;
+  vid
 
 (* Kernel-argument payload for clSetKernelArg: tag byte + 8-byte value. *)
 let encode_kernel_arg (arg : Ava_simcl.Types.kernel_arg) =

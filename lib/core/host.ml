@@ -5,9 +5,8 @@
    API server; [add_vm] attaches one guest and returns a SimCL module the
    guest application uses exactly like the vendor library.  {!nc_host} is
    the Movidius equivalent.  Every silo's remoted guests attach through
-   one [attach_guest] and retire through one [retire_guest], described
-   by the silo's {!Silo} descriptor; pooled hosts move VMs between
-   devices with [Silo.transfer]. *)
+   one [attach_guest], described by the silo's {!Silo} descriptor;
+   pooled hosts move VMs between devices with [Silo.transfer]. *)
 
 module Transport = Ava_transport.Transport
 module Faults = Ava_transport.Faults
@@ -216,40 +215,6 @@ let place_guest ?footprint ?requires ?device pool server ~vm =
       (d, Pool.server pool d)
   | None -> (0, server)
 
-(* The one retire: pool residency (or the classic server entry), circuit
-   breaker, IOMMU pins, record log.  Idempotent — retiring an unknown or
-   already-retired VM returns [false] — and validated: a VM
-   mid-migration is refused (retry after the migration completes).  The
-   caller must ensure the VM has no in-flight calls; its worker dies
-   with its inbox.  Must run inside a simulation process (the IOMMU
-   teardown charges a shootdown). *)
-let retire_guest ~pool ~server ~router ~recorders ~iommus ~vm_id =
-  let ok =
-    match pool with
-    | Some pool when Option.is_some (Pool.device_of pool ~vm_id) ->
-        Pool.retire_vm pool ~vm_id
-    | _ -> (
-        (* Classic host — or a pooled host's User_rpc guest, which
-           bypasses placement and lives on device 0's server. *)
-        match Server.vm_ctx server ~vm_id with
-        | Some _ ->
-            Server.detach_vm server ~vm_id;
-            (* User_rpc guests have no router flow to clear. *)
-            (try Router.clear_breaker router ~vm_id
-             with Invalid_argument _ -> ());
-            true
-        | None -> false)
-  in
-  if ok then begin
-    Option.iter
-      (fun iommus ->
-        Option.iter Iommu.release_all (Hashtbl.find_opt iommus vm_id);
-        Hashtbl.remove iommus vm_id)
-      iommus;
-    Hashtbl.remove recorders vm_id
-  end;
-  ok
-
 (* The device pool over one server per device ([phys] tags each);
    every move between two of its devices goes through [Silo.transfer],
    with [sva_of] naming the VM's IOMMU and the destination's DMA engine
@@ -427,9 +392,36 @@ let native_cl ?(gpu_timing = Timing.gtx1080) engine =
 
 let recorder t ~vm_id = Hashtbl.find_opt t.recorders vm_id
 
+(* Retire a guest: pool residency (or the classic server entry), circuit
+   breaker, IOMMU pins, record log.  Idempotent — retiring an unknown or
+   already-retired VM returns [false] — and validated: a VM
+   mid-migration is refused (retry after the migration completes).  The
+   caller must ensure the VM has no in-flight calls; its worker dies
+   with its inbox.  Must run inside a simulation process (the IOMMU
+   teardown charges a shootdown). *)
 let retire_cl_vm t ~vm_id =
-  retire_guest ~pool:t.pool ~server:t.server ~router:t.router
-    ~recorders:t.recorders ~iommus:(Some t.iommus) ~vm_id
+  let ok =
+    match t.pool with
+    | Some pool when Option.is_some (Pool.device_of pool ~vm_id) ->
+        Pool.retire_vm pool ~vm_id
+    | _ -> (
+        (* Classic host — or a pooled host's User_rpc guest, which
+           bypasses placement and lives on device 0's server. *)
+        match Server.vm_ctx t.server ~vm_id with
+        | Some _ ->
+            Server.detach_vm t.server ~vm_id;
+            (* User_rpc guests have no router flow to clear. *)
+            (try Router.clear_breaker t.router ~vm_id
+             with Invalid_argument _ -> ());
+            true
+        | None -> false)
+  in
+  if ok then begin
+    Option.iter Iommu.release_all (Hashtbl.find_opt t.iommus vm_id);
+    Hashtbl.remove t.iommus vm_id;
+    Hashtbl.remove t.recorders vm_id
+  end;
+  ok
 
 (* --- MVNC hosts ----------------------------------------------------------- *)
 
@@ -680,10 +672,6 @@ let add_st_vm ?(transport = Transport.Shm_ring) ?rate_per_s ?weight ?breaker
       ~backend ?rate_per_s ?weight ?breaker server vm
   in
   { sg_vm = vm; sg_api = api; sg_stub = Some stub }
-
-let retire_st_vm t ~vm_id =
-  retire_guest ~pool:t.st_pool ~server:t.st_server ~router:t.st_router
-    ~recorders:t.st_recorders ~iommus:None ~vm_id
 
 let native_st ?(st_timing = Ava_simst.Device.sm_stream) engine =
   let dev = Ava_simst.Device.create ~timing:st_timing engine in

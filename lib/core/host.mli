@@ -77,14 +77,6 @@ type cl_guest = {
   g_technique : technique;
 }
 
-val load_cl_plan :
-  ?sync_only:bool -> unit -> Ava_spec.Ast.api_spec * Plan.t
-(** The built-in SimCL spec and its compiled plan.  Memoized: parsed
-    and compiled on the first call, then the same value on every call,
-    shared by every host of the process.  [sync_only] selects the
-    all-sync variant, cached as its own distinct value.  The other
-    [load_*_plan] are memoized the same way. *)
-
 val create_cl_host :
   ?virt:Timing.virt ->
   ?gpu_timing:Timing.gpu ->
@@ -219,9 +211,6 @@ type nc_guest = {
   ng_stub : Stub.t option;
 }
 
-val load_nc_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
-(** The built-in MVNC spec and plan, memoized like {!load_cl_plan}. *)
-
 val create_nc_host :
   ?virt:Timing.virt ->
   ?ncs_timing:Timing.ncs ->
@@ -268,9 +257,6 @@ type qa_guest = {
   qg_api : (module Ava_simqa.Api.S);
   qg_stub : Stub.t option;
 }
-
-val load_qa_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
-(** The built-in QAT spec and plan, memoized like {!load_cl_plan}. *)
 
 val create_qa_host :
   ?virt:Timing.virt ->
@@ -324,9 +310,6 @@ type st_guest = {
   sg_stub : Stub.t option;
 }
 
-val load_st_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
-(** The built-in SimST spec and plan, memoized like {!load_cl_plan}. *)
-
 val create_st_host :
   ?virt:Timing.virt ->
   ?st_timing:Ava_simst.Device.timing ->
@@ -358,9 +341,6 @@ val add_st_vm :
 (** [requires] pins placement (and migration) to devices of that
     capability; omitted means portable.  [device] pins a pool device
     explicitly (validated against [requires]). *)
-
-val retire_st_vm : st_host -> vm_id:int -> bool
-(** As {!retire_cl_vm}, for the stream silo. *)
 
 val native_st :
   ?st_timing:Ava_simst.Device.timing ->

@@ -1,13 +1,10 @@
 (* The AvA-generated guest library for MVNC (Movidius NCSDK). *)
 
 module Stub = Ava_remoting.Stub
-module Wire = Ava_remoting.Wire
 module Message = Ava_remoting.Message
 
 open Ava_simnc.Types
 open Codec
-
-type t = { stub : Stub.t }
 
 let status_error code = status_of_code code
 
@@ -41,68 +38,53 @@ let out_exn (reply : Message.reply) n =
   | None -> raise Bad_args
 
 let create stub =
-  let t = { stub } in
   let module M = struct
     let mvncGetDeviceName ~index =
-      sync t.stub ~fn:"mvncGetDeviceName"
+      sync stub ~fn:"mvncGetDeviceName"
         ~args:[ i index; u; i 64 ]
         (fun reply -> Ok (Bytes.to_string (to_b (out_exn reply 0))))
 
     let mvncOpenDevice ~name =
-      sync t.stub ~fn:"mvncOpenDevice"
+      sync stub ~fn:"mvncOpenDevice"
         ~args:[ b (Bytes.of_string name); i (String.length name); u ]
-        (fun reply ->
-          match reply.Message.reply_ret with
-          | Wire.Handle _ as v -> (
-              match Wire.to_int v with
-              | Some n -> Ok n
-              | None -> Error General_error)
-          | _ -> Error General_error)
+        (ret_handle General_error)
 
     let mvncCloseDevice d =
-      sync t.stub ~fn:"mvncCloseDevice" ~args:[ h d ] (fun _ -> Ok ())
+      sync stub ~fn:"mvncCloseDevice" ~args:[ h d ] (fun _ -> Ok ())
 
     let mvncAllocateGraph d ~graph_data =
-      sync t.stub ~fn:"mvncAllocateGraph"
+      sync stub ~fn:"mvncAllocateGraph"
         ~args:[ h d; u; b (Bytes.copy graph_data); i (Bytes.length graph_data) ]
-        (fun reply ->
-          match reply.Message.reply_ret with
-          | Wire.Handle _ as v -> (
-              match Wire.to_int v with
-              | Some n -> Ok n
-              | None -> Error General_error)
-          | _ -> Error General_error)
+        (ret_handle General_error)
 
     let mvncDeallocateGraph g =
-      sync t.stub ~fn:"mvncDeallocateGraph" ~args:[ h g ] (fun _ ->
+      sync stub ~fn:"mvncDeallocateGraph" ~args:[ h g ] (fun _ ->
           Ok ())
 
     (* The NCSDK's own pipelining call: forwarded asynchronously. *)
     let mvncLoadTensor g ~tensor =
-      fire t.stub ~fn:"mvncLoadTensor"
+      fire stub ~fn:"mvncLoadTensor"
         ~args:[ h g; b (Bytes.copy tensor); i (Bytes.length tensor) ]
         ()
 
     let mvncGetResult g =
-      sync t.stub ~fn:"mvncGetResult"
+      sync stub ~fn:"mvncGetResult"
         ~args:[ h g; u; i (1 lsl 20) ]
         (fun reply -> Ok (to_b (out_exn reply 0)))
 
     let mvncGetGraphOption g opt =
-      sync t.stub ~fn:"mvncGetGraphOption"
+      sync stub ~fn:"mvncGetGraphOption"
         ~args:[ h g; i (graph_option_to_int opt); u ]
         (fun reply -> Ok (to_i (out_exn reply 0)))
 
     let mvncSetGraphOption g opt v =
-      sync t.stub ~fn:"mvncSetGraphOption"
+      sync stub ~fn:"mvncSetGraphOption"
         ~args:[ h g; i (graph_option_to_int opt); i v ]
         (fun _ -> Ok ())
 
     let mvncGetDeviceOption d opt =
-      sync t.stub ~fn:"mvncGetDeviceOption"
+      sync stub ~fn:"mvncGetDeviceOption"
         ~args:[ h d; i (device_option_to_int opt); u ]
         (fun reply -> Ok (to_i (out_exn reply 0)))
   end in
-  ((module M : Ava_simnc.Api.S), t)
-
-let stub t = t.stub
+  (module M : Ava_simnc.Api.S)

@@ -10,8 +10,6 @@ module Message = Ava_remoting.Message
 open Ava_simqa.Types
 open Codec
 
-type t = { stub : Stub.t }
-
 let finish stub result parse =
   match result with
   | Error _ -> Error Qa_fail
@@ -32,40 +30,34 @@ let out_exn (reply : Message.reply) n =
   | Some v -> v
   | None -> raise Bad_args
 
-let ret_handle (reply : Message.reply) =
-  match reply.Message.reply_ret with
-  | Wire.Handle v -> Ok (Int64.to_int v)
-  | _ -> Error Qa_fail
-
 let max_dst = 16 * 1024 * 1024
 
 let create stub =
-  let t = { stub } in
   let module M = struct
     let qaGetNumInstances () =
-      sync t.stub ~fn:"qaGetNumInstances" ~args:[ u ] (fun reply ->
+      sync stub ~fn:"qaGetNumInstances" ~args:[ u ] (fun reply ->
           Ok (to_i (out_exn reply 0)))
 
     let qaStartInstance ~index =
-      sync t.stub ~fn:"qaStartInstance"
+      sync stub ~fn:"qaStartInstance"
         ~args:[ i index; u ]
-        ret_handle
+        (ret_handle Qa_fail)
 
     let qaStopInstance inst =
-      sync t.stub ~fn:"qaStopInstance" ~args:[ h inst ] (fun _ ->
+      sync stub ~fn:"qaStopInstance" ~args:[ h inst ] (fun _ ->
           Ok ())
 
     let qaCreateSession inst direction ~level =
-      sync t.stub ~fn:"qaCreateSession"
+      sync stub ~fn:"qaCreateSession"
         ~args:[ h inst; i (direction_to_int direction); i level; u ]
-        ret_handle
+        (ret_handle Qa_fail)
 
     let qaRemoveSession sess =
-      sync t.stub ~fn:"qaRemoveSession" ~args:[ h sess ] (fun _ ->
+      sync stub ~fn:"qaRemoveSession" ~args:[ h sess ] (fun _ ->
           Ok ())
 
     let xfer fn sess ~src =
-      sync t.stub ~fn
+      sync stub ~fn
         ~args:
           [ h sess; b (Bytes.copy src); i (Bytes.length src); u; i max_dst ]
         (fun reply -> Ok (to_b (out_exn reply 0)))
@@ -78,14 +70,14 @@ let create stub =
        upcalls through it. *)
     let qaSubmitCompress sess ~src ~tag ~callback =
       let cb =
-        Stub.register_callback t.stub (fun args ->
+        Stub.register_callback stub (fun args ->
             match args with
             | [ Wire.I64 tag; Wire.Blob out ] ->
                 callback ~tag:(Int64.to_int tag) out
             | _ -> ())
       in
       match
-        Stub.invoke t.stub ~fn:"qaSubmitCompress"
+        Stub.invoke stub ~fn:"qaSubmitCompress"
           ~args:
             [ h sess; b (Bytes.copy src); i (Bytes.length src); i cb; i tag ]
       with
@@ -97,13 +89,13 @@ let create stub =
           else Ok ()
 
     let qaGetStats inst =
-      sync t.stub ~fn:"qaGetStats" ~args:[ h inst; u; u ]
+      sync stub ~fn:"qaGetStats" ~args:[ h inst; u; u ]
         (fun reply -> Ok (to_i (out_exn reply 0), to_i (out_exn reply 1)))
 
     (* Struct out-parameter: the reply carries the fields as a list, in
        declaration order. *)
     let qaGetStatsEx inst =
-      sync t.stub ~fn:"qaGetStatsEx" ~args:[ h inst; u ]
+      sync stub ~fn:"qaGetStatsEx" ~args:[ h inst; u ]
         (fun reply ->
           match to_l (out_exn reply 0) with
           | [ ops; bytes_in; bytes_out ] ->
@@ -111,6 +103,4 @@ let create stub =
                    se_bytes_out = bytes_out }
           | _ -> Error Qa_fail)
   end in
-  ((module M : Ava_simqa.Api.S), t)
-
-let stub t = t.stub
+  (module M : Ava_simqa.Api.S)

@@ -56,7 +56,7 @@ let cl =
         Server.status_device_lost;
         Types.error_to_code Types.Device_not_available;
       ];
-    remote = (fun stub -> fst (Cl_remote.create stub));
+    remote = Cl_remote.create;
   }
 
 (* Only object lifetimes are recorded on the stream silo (enqueues are
@@ -84,7 +84,7 @@ let st =
         Server.status_device_lost;
         Types.status_to_code Types.St_device_lost;
       ];
-    remote = (fun stub -> fst (St_remote.create stub));
+    remote = St_remote.create;
   }
 
 (* NCS and QAT hosts are not pooled: their descriptors name no live
@@ -107,11 +107,11 @@ let nc =
         Server.status_device_lost;
         Ava_simnc.Types.status_to_code Ava_simnc.Types.Gone;
       ]
-    ~remote:(fun stub -> fst (Nc_remote.create stub))
+    ~remote:Nc_remote.create
 
 let qa =
   unpooled ~fault_statuses:[ Server.status_device_lost ]
-    ~remote:(fun stub -> fst (Qa_remote.create stub))
+    ~remote:Qa_remote.create
 
 type moved = { bytes : int; replayed : int; restored : int }
 

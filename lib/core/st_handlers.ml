@@ -24,31 +24,10 @@ let make_state dev ~vm_id:_ =
 let err (s : status) : int * Wire.value * Wire.value list =
   (status_to_code s, Wire.Unit, [])
 
-let ok_unit = (0, Wire.Unit, [])
-let ok_ret ret outs = (0, ret, outs)
-
-exception Unknown_handle = Server.Unknown_handle
-
-let resolve ctx v =
-  match Server.Ctx.resolve ctx v with
-  | Some h -> h
-  | None -> raise Unknown_handle
-
-let guard f ctx st args =
-  match f ctx st args with
-  | result -> result
-  | exception Unknown_handle -> (Server.status_unknown_handle, Wire.Unit, [])
-  | exception Bad_args -> (Server.status_bad_arguments, Wire.Unit, [])
-
 let of_result r k = match r with Ok v -> k v | Error e -> err e
 
-let bind_fresh ctx ~host =
-  let vid = Server.Ctx.fresh ctx in
-  Server.Ctx.bind ctx ~guest:vid ~host;
-  vid
-
 let register server =
-  let reg name f = Server.register server name (guard f) in
+  let reg = Server.register server in
 
   reg "stDeviceGetCount" (fun _ctx st args ->
       match args with

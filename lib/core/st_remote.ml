@@ -8,13 +8,10 @@
    reply until the native call's completion point passes. *)
 
 module Stub = Ava_remoting.Stub
-module Wire = Ava_remoting.Wire
 module Message = Ava_remoting.Message
 
 open Ava_simst.Types
 open Codec
-
-type t = { stub : Stub.t }
 
 (* Finish a synchronous invocation: deferred async errors outrank the
    current call's (successful) result. *)
@@ -50,68 +47,62 @@ let out_exn (reply : Message.reply) n =
   | Some v -> v
   | None -> raise Bad_args
 
-let ret_handle (reply : Message.reply) =
-  match reply.Message.reply_ret with
-  | Wire.Handle v -> Ok (Int64.to_int v)
-  | _ -> Error St_fail
-
 let create stub =
-  let t = { stub } in
   let module M = struct
     let stDeviceGetCount () =
-      sync t.stub ~fn:"stDeviceGetCount" ~args:[ u ] (fun reply ->
+      sync stub ~fn:"stDeviceGetCount" ~args:[ u ] (fun reply ->
           Ok (to_i (out_exn reply 0)))
 
     let stStreamCreate () =
-      sync t.stub ~fn:"stStreamCreate" ~args:[ u ] ret_handle
+      sync stub ~fn:"stStreamCreate" ~args:[ u ] (ret_handle St_fail)
 
     let stStreamDestroy s =
-      sync t.stub ~fn:"stStreamDestroy" ~args:[ h s ] (fun _ ->
+      sync stub ~fn:"stStreamDestroy" ~args:[ h s ] (fun _ ->
           Ok ())
 
     let stStreamSynchronize s =
-      sync t.stub ~fn:"stStreamSynchronize" ~args:[ h s ] (fun _ ->
+      sync stub ~fn:"stStreamSynchronize" ~args:[ h s ] (fun _ ->
           Ok ())
 
     let stEventCreate () =
-      sync t.stub ~fn:"stEventCreate" ~args:[ u ] ret_handle
+      sync stub ~fn:"stEventCreate" ~args:[ u ] (ret_handle St_fail)
 
     let stEventDestroy ev =
-      sync t.stub ~fn:"stEventDestroy" ~args:[ h ev ] (fun _ ->
+      sync stub ~fn:"stEventDestroy" ~args:[ h ev ] (fun _ ->
           Ok ())
 
     let stEventRecord ev s =
-      fire t.stub ~fn:"stEventRecord" ~args:[ h ev; h s ]
+      fire stub ~fn:"stEventRecord" ~args:[ h ev; h s ]
 
     let stEventSynchronize ev =
-      sync t.stub ~fn:"stEventSynchronize" ~args:[ h ev ] (fun _ ->
+      sync stub ~fn:"stEventSynchronize" ~args:[ h ev ] (fun _ ->
           Ok ())
 
     let stStreamWaitEvent s ev =
-      fire t.stub ~fn:"stStreamWaitEvent" ~args:[ h s; h ev ]
+      fire stub ~fn:"stStreamWaitEvent" ~args:[ h s; h ev ]
 
     let stMemAlloc ~size =
-      sync t.stub ~fn:"stMemAlloc"
-        ~args:[ u; i size ] ret_handle
+      sync stub ~fn:"stMemAlloc"
+        ~args:[ u; i size ] (ret_handle St_fail)
 
     let stMemFree m =
-      sync t.stub ~fn:"stMemFree" ~args:[ h m ] (fun _ -> Ok ())
+      sync stub ~fn:"stMemFree" ~args:[ h m ] (fun _ -> Ok ())
 
     (* The source buffer travels as a copy, as a generated stub must:
        the guest may reuse it the moment the call returns. *)
     let stMemcpyHtoDAsync dst ~src s =
       let size = Bytes.length src in
-      fire t.stub ~fn:"stMemcpyHtoDAsync"
+      fire stub ~fn:"stMemcpyHtoDAsync"
         ~args:[ h dst; b (Bytes.copy src); i size; h s ]
 
     let stMemcpyDtoH ~size src =
-      sync t.stub ~fn:"stMemcpyDtoH"
+      sync stub ~fn:"stMemcpyDtoH"
         ~args:[ u; i size; h src ]
         (fun reply -> Ok (to_b (out_exn reply 0)))
 
     let stLaunchKernel s ~name ~a ~b:bm ~out ~n =
       let name_size = String.length name in
-      fire t.stub ~fn:"stLaunchKernel"
+      fire stub ~fn:"stLaunchKernel"
         ~args:
           [
             h s; b (Bytes.of_string name); i name_size; h a; h bm; h out; i n;
@@ -119,15 +110,13 @@ let create stub =
 
     let stBatchSubmit s ~batch ~item_size =
       let batch_size = Bytes.length batch in
-      sync t.stub ~fn:"stBatchSubmit"
+      sync stub ~fn:"stBatchSubmit"
         ~args:[ h s; b (Bytes.copy batch); i batch_size; i item_size; u ]
         (fun reply -> Ok (to_i (out_exn reply 0)))
 
     let stBatchCollect s ~ticket ~size =
-      sync t.stub ~fn:"stBatchCollect"
+      sync stub ~fn:"stBatchCollect"
         ~args:[ h s; i ticket; u; i size ]
         (fun reply -> Ok (to_b (out_exn reply 0)))
   end in
-  ((module M : Ava_simst.Api.S), t)
-
-let stub t = t.stub
+  (module M : Ava_simst.Api.S)

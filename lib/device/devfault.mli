@@ -21,7 +21,6 @@ type ncs_config = {
 }
 
 val gpu_none : gpu_config
-val ncs_none : ncs_config
 
 type stats = {
   mutable hangs : int;

@@ -66,6 +66,8 @@ let reset t =
   t.resets <- t.resets + 1;
   replug t
 
+(* Occupy the USB pipe for one transaction; blocks.  Raises
+   [Device_lost] if the stick is (or becomes) unplugged. *)
 let usb_transfer t ~bytes =
   if not t.plugged then raise Device_lost;
   (match t.fault with
@@ -95,8 +97,6 @@ let load_graph t ~graph_bytes ~layer_flops =
   let g = { graph_id = id; graph_bytes; layer_flops } in
   Hashtbl.replace t.graphs id g;
   g
-
-let find_graph t id = Hashtbl.find_opt t.graphs id
 
 let unload_graph t id =
   if not (Hashtbl.mem t.graphs id) then Error `Unknown_graph

@@ -29,7 +29,8 @@ val vms : t -> Vm.t list
 (** In creation order. *)
 
 val traps : t -> int
-(** MMIO accesses trapped so far across all full-virt attachments. *)
+(** MMIO accesses trapped so far across all full-virt attachments.
+    [test_hv] checks full virtualization traps and pass-through does not. *)
 
 val create_vm : t -> name:string -> Vm.t
 val find_vm : t -> int -> Vm.t option

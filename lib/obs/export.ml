@@ -181,6 +181,11 @@ let span_segments (sp : Obs.span) =
     segs := (Obs.P_unmarshal, !last, sp.Obs.sp_close) :: !segs;
   List.rev !segs
 
+(* Chrome trace-event JSON from the retained spans: one complete ("X")
+   event per phase segment, [pid] = VM, [tid] = lane (guest / wire /
+   router / server), timestamps in microseconds.  Server-side segments
+   of device-stamped spans get a per-device lane ([server-dev<id>], tid
+   10+id).  Loadable in chrome://tracing and Perfetto. *)
 let chrome_trace t =
   let spans = Obs.spans t in
   let vms =
@@ -321,5 +326,3 @@ let snapshot t =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (Obs.counters t))
       );
     ]
-
-let snapshot_string t = Json.to_string_pretty (snapshot t)

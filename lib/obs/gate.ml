@@ -23,6 +23,7 @@ let element_label v i =
   in
   first [ "name"; "phase"; "workload"; "capability" ]
 
+(* All numeric leaves as [(path, value)], document order. *)
 let flatten json =
   let out = ref [] in
   let rec walk path v =

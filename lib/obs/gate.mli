@@ -7,10 +7,8 @@
     [baseline × (1 + tolerance)] plus a small absolute noise floor on
     raw-nanosecond metrics. *)
 
-val flatten : Json.t -> (string * float) list
-(** All numeric leaves as [(path, value)], document order. *)
-
 val is_gated : string -> bool
+(** [test_obs] checks which metric paths the gate compares. *)
 
 type status = Ok | Regressed | New_metric | Missing_metric
 

@@ -51,8 +51,6 @@ let add t v =
 
 let count t = t.n
 let sum t = t.sum
-let min_value t = if t.n = 0 then 0 else t.minimum
-let max_value t = if t.n = 0 then 0 else t.maximum
 let bucket_counts t = Array.copy t.counts
 
 let merge ~into src =

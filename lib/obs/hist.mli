@@ -10,24 +10,15 @@ type t
 val n_finite : int
 (** Number of finite buckets (41: upper bounds 2^0 .. 2^40). *)
 
-val n_buckets : int
-(** Total bucket count including the overflow bucket. *)
-
 val bound : int -> int
 (** [bound i] is the inclusive upper bound (ns) of finite bucket [i].
     @raise Invalid_argument outside [0, n_finite). *)
-
-val bucket_index : int -> int
-(** Index of the bucket a sample lands in (negative samples clamp to 0;
-    values above the last finite bound land in the overflow bucket). *)
 
 val create : unit -> t
 val add : t -> int -> unit
 
 val count : t -> int
 val sum : t -> float
-val min_value : t -> int
-val max_value : t -> int
 
 val bucket_counts : t -> int array
 (** Copy of the per-bucket counts; index [n_finite] is overflow. *)
@@ -36,7 +27,8 @@ val merge : into:t -> t -> unit
 
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [0,1]; [nan] on an empty histogram.
-    @raise Invalid_argument if [q] is outside [0,1]. *)
+    @raise Invalid_argument if [q] is outside [0,1].
+    [test_obs] checks quantiles are monotone and within the samples. *)
 
 type summary = {
   h_count : int;

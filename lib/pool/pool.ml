@@ -54,12 +54,6 @@ let capability_to_string = function
   | Cap_npu -> "npu"
   | Cap_stream -> "stream"
 
-let capability_of_string = function
-  | "gpu" -> Some Cap_gpu
-  | "npu" -> Some Cap_npu
-  | "stream" -> Some Cap_stream
-  | _ -> None
-
 (* The pool's view of one physical accelerator: capability tag plus the
    handful of read-outs and controls the orchestration needs, as
    closures so any device model can sit behind a lane.  [ph_gpu] keeps
@@ -124,8 +118,6 @@ type 'st t = {
   mutable retires : int;
   mutable aborted_migrations : int;
       (** migrations whose VM retired during the drain window *)
-  mutable emigrations : int;
-      (** VMs handed off to another host's pool by the cluster tier *)
   mutable stopped : bool;  (** quiesces the skew monitor *)
 }
 
@@ -174,7 +166,6 @@ let create ?trace engine ~router ~placement ~transfer devices =
     rebalances = 0;
     retires = 0;
     aborted_migrations = 0;
-    emigrations = 0;
     stopped = false;
   }
 
@@ -187,13 +178,6 @@ let evacuations t = t.evacuations
 let rebalances t = t.rebalances
 let retires t = t.retires
 let aborted_migrations t = t.aborted_migrations
-let emigrations t = t.emigrations
-
-let footprint_of t ~vm_id =
-  Option.map (fun i -> i.vi_footprint) (List.assoc_opt vm_id t.vms)
-
-let requires_of t ~vm_id =
-  Option.bind (List.assoc_opt vm_id t.vms) (fun i -> i.vi_requires)
 
 let vm_of t ~vm_id =
   Option.map (fun i -> i.vi_vm) (List.assoc_opt vm_id t.vms)
@@ -674,5 +658,4 @@ let complete_emigration t ~vm_id =
       let d = t.devices.(info.vi_device) in
       d.dev_resident <- List.filter (fun v -> v <> vm_id) d.dev_resident;
       t.vms <- List.remove_assoc vm_id t.vms;
-      t.emigrations <- t.emigrations + 1;
       record_trace t "vm%d emigrated off dev%d" vm_id info.vi_device

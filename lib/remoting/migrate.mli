@@ -19,11 +19,6 @@ type t
 
 val create : unit -> t
 
-val primary_handle : Plan.call_plan -> Wire.value list -> int option
-(** The tracked object of a call: the spec'd [target] parameter if
-    present, else a guest-assigned allocating out-element, else the
-    first handle argument. *)
-
 val observe : ?allocated:int -> t -> Plan.call_plan -> Message.call -> unit
 (** Record one successfully executed call.  [allocated] is the virtual
     id the server assigned when the call created an object (its return
@@ -34,8 +29,11 @@ val replay_log : t -> recorded list
     onto the destination silo. *)
 
 val log_length : t -> int
+(** [test_remoting] and [test_core] check freed objects are pruned. *)
+
 val recorded_count : t -> int
 val pruned_count : t -> int
 
 val live_objects : t -> int list
-(** Tracked ids whose allocation is still in the log. *)
+(** Tracked ids whose allocation is still in the log.
+    [test_remoting] checks which objects survive pruning. *)

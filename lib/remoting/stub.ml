@@ -233,7 +233,6 @@ let register_callback t f =
   Hashtbl.replace t.callbacks id f;
   id
 
-let unregister_callback t id = Hashtbl.remove t.callbacks id
 let sync_calls t = t.sync_calls
 let async_calls t = t.async_calls
 let marshalled_bytes t = t.marshalled_bytes
@@ -533,10 +532,3 @@ let invoke ?(force_sync = false) ?on_reply t ~fn ~args =
         let _ = send_call t ~fn ~args ~sync:false ~holdable ~on_reply in
         Ok None
       end
-
-(* Convenience for callers that always need the reply. *)
-let invoke_sync t ~fn ~args =
-  match invoke ~force_sync:true t ~fn ~args with
-  | Ok (Some reply) -> Ok reply
-  | Ok None -> assert false
-  | Error _ as e -> e

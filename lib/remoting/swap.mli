@@ -34,6 +34,7 @@ val pin : t -> key:int -> unit
 val unpin : t -> key:int -> unit
 val remove : t -> key:int -> unit
 val is_resident : t -> key:int -> bool
+(** [test_remoting] checks LRU eviction and restore order. *)
 
 val check_invariants : t -> bool
 (** Residency accounting adds up and never exceeds capacity. *)

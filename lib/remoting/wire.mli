@@ -41,7 +41,8 @@ val equal : value -> value -> bool
 val pp : Format.formatter -> value -> unit
 
 val encoded_size : value -> int
-(** Size of the encoded form, for payload accounting. *)
+(** Size of the encoded form, for payload accounting.
+    [test_remoting] checks a frame is 4 bytes plus these sizes. *)
 
 val encode : value list -> bytes
 (** The frame: a 4-byte little-endian value count, then each value as
@@ -58,7 +59,8 @@ val decode : bytes -> (value list, string) result
     exhaust the stack. *)
 
 val max_depth : int
-(** Deepest [List] nesting {!decode} accepts (64). *)
+(** Deepest [List] nesting {!decode} accepts (64).
+    [test_remoting] checks this depth decodes and one more is rejected. *)
 
 (** {2 Frame reader}
 

@@ -13,13 +13,13 @@ val create : ?capacity:int -> unit -> 'a t
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
 
 val send : 'a t -> 'a -> unit
 (** Blocking send; must run inside a process when the channel is full. *)
 
 val try_send : 'a t -> 'a -> bool
-(** Non-blocking; [false] when full. *)
+(** Non-blocking; [false] when full.
+    [test_sim] checks it refuses a full channel. *)
 
 val recv : 'a t -> 'a
 (** Blocking receive; must run inside a process when empty. *)
@@ -29,5 +29,3 @@ val try_recv : 'a t -> 'a option
 val close : 'a t -> unit
 (** Subsequent sends raise {!Closed}; blocked receivers stay blocked (a
     closed command stream simply stops). *)
-
-val is_closed : 'a t -> bool

@@ -114,14 +114,6 @@ let add t ~key ~seq payload =
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set slots !i slot
 
-let[@inline] min_key t =
-  if t.size = 0 then invalid_arg "Heap.min_key: empty heap";
-  Array.unsafe_get t.keys 0
-
-let[@inline] min_seq t =
-  if t.size = 0 then invalid_arg "Heap.min_seq: empty heap";
-  Array.unsafe_get t.seqs 0
-
 (* Unchecked variants for the engine's drain loop, which has already
    established non-emptiness for the iteration. *)
 let[@inline] unsafe_min_key t = Array.unsafe_get t.keys 0
@@ -185,6 +177,8 @@ let unsafe_pop t =
   remove_min t;
   payload
 
+(* Remove the smallest entry and return its payload; the vacated slot is
+   cleared. *)
 let pop_exn t =
   if t.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
   unsafe_pop t

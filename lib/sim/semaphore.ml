@@ -14,6 +14,8 @@ let create n =
 let available t = t.available
 let total t = t.total
 
+(* Take a slot, blocking the calling process while none is free;
+   waiters are served FIFO. *)
 let acquire t =
   if t.available > 0 then t.available <- t.available - 1
   else Engine.await (fun resume -> Queue.push resume t.waiters)

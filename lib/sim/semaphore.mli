@@ -9,10 +9,6 @@ val create : int -> t
 val available : t -> int
 val total : t -> int
 
-val acquire : t -> unit
-(** Take a slot, blocking the calling process while none is free.
-    Waiters are served FIFO. *)
-
 val release : t -> unit
 (** Return a slot, waking the oldest waiter if any.
     @raise Invalid_argument on more releases than acquires. *)

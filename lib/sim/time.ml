@@ -15,7 +15,6 @@ let s n = 1_000_000_000 * n
 (* Fractional durations are rounded to the nearest nanosecond. *)
 let of_float_ns f = int_of_float (Float.round f)
 let of_float_us f = of_float_ns (f *. 1e3)
-let of_float_ms f = of_float_ns (f *. 1e6)
 let of_float_s f = of_float_ns (f *. 1e9)
 
 let to_float_ns t = float_of_int t

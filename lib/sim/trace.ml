@@ -6,7 +6,7 @@
 type event = { at : Time.t; category : string; message : string }
 
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   mutable events : event list; (* newest first *)
   mutable count : int;
   mutable dropped : int; (* events discarded once [count] hit [limit] *)
@@ -16,8 +16,6 @@ type t = {
 let create ?(enabled = false) ?(limit = 100_000) () =
   { enabled; events = []; count = 0; dropped = 0; limit }
 
-let enable t = t.enabled <- true
-let disable t = t.enabled <- false
 let is_enabled t = t.enabled
 
 let record t ~at ~category fmt =
@@ -41,20 +39,6 @@ let dropped t = t.dropped
 
 let by_category t category =
   List.filter (fun e -> String.equal e.category category) (events t)
-
-(* Distinct categories seen so far, in first-recorded order (e.g.
-   "router", "server", "cache"). *)
-let categories t =
-  let seen = Hashtbl.create 16 in
-  List.rev
-    (List.fold_left
-       (fun acc e ->
-         if Hashtbl.mem seen e.category then acc
-         else begin
-           Hashtbl.add seen e.category ();
-           e.category :: acc
-         end)
-       [] (events t))
 
 let clear t =
   t.events <- [];

@@ -10,8 +10,6 @@ type t
 val create : ?enabled:bool -> ?limit:int -> unit -> t
 (** Disabled by default; at most [limit] events are retained. *)
 
-val enable : t -> unit
-val disable : t -> unit
 val is_enabled : t -> bool
 
 val record :
@@ -28,14 +26,9 @@ val dropped : t -> int
 (** Events discarded because the retention [limit] was reached. *)
 
 val by_category : t -> string -> event list
-
-val categories : t -> string list
-(** Distinct categories seen so far, in first-recorded order (e.g.
-    ["router"], ["server"], ["cache"]). *)
+(** [test_core] and [test_sim] read router, server and DMA events. *)
 
 val clear : t -> unit
-
-val pp_event : Format.formatter -> event -> unit
 
 val dump : Format.formatter -> t -> unit
 (** Dumps retained events, followed by a truncation notice when any

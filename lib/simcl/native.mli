@@ -22,6 +22,8 @@ val create : ?client:int -> Kdriver.t -> (module Api.S) * st
 
 val calls : st -> int
 val live_events : st -> int
+(** [test_simcl] checks a released event is gone. *)
+
 val live_mems : st -> int
 
 val find_mem : st -> Types.mem -> Ava_device.Gpu.buffer option

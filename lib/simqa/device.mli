@@ -27,9 +27,10 @@ val bytes_in : t -> int
 val bytes_out : t -> int
 
 val rle_compress : bytes -> bytes
-(** Reference codec, exposed for tests. *)
+(** Reference codec; [test_simqa] checks it round-trips any input. *)
 
 val rle_decompress : bytes -> (bytes, [ `Corrupt ]) result
+(** [test_simqa] checks device output decompresses to its input. *)
 
 val compress : t -> input:bytes -> (bytes, [ `Corrupt ]) result
 (** Offload one compression; blocks for DMA + engine time. *)

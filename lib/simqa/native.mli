@@ -8,3 +8,4 @@ val create : Device.t -> (module Api.S) * st
 
 val calls : st -> int
 val live_sessions : st -> int
+(** [test_simqa] checks removed sessions leave none behind. *)

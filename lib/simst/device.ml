@@ -156,7 +156,6 @@ let stream_sync s = Ivar.read s.st_tail
 let event_create () = { ev_done = filled () }
 let event_record ev s = ev.ev_done <- s.st_tail
 let event_sync ev = Ivar.read ev.ev_done
-let event_done ev = Ivar.is_filled ev.ev_done
 
 let stream_wait_event t s ev =
   let target = ev.ev_done in

@@ -54,7 +54,6 @@ val event_create : unit -> event
 
 val event_record : event -> stream -> unit
 val event_sync : event -> unit
-val event_done : event -> bool
 
 val stream_wait_event : t -> stream -> event -> unit
 (** Enqueue a wait for the event as recorded at call time. *)

@@ -9,6 +9,8 @@ val create : Device.t -> (module Api.S) * st
 val calls : st -> int
 val device : st -> Device.t
 val live_streams : st -> int
+(** [test_simst] checks destroyed streams leave none behind. *)
+
 val live_mems : st -> int
 
 val find_mem : st -> Types.mem_handle -> Bytes.t option

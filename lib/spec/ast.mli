@@ -34,7 +34,9 @@ val expr_params : expr -> string list
 
 val eval_expr : (string * int) list -> expr -> (int, string) result
 (** Evaluate against runtime argument values; [Error] on an unbound
-    parameter or a zero divisor. *)
+    parameter or a zero divisor.  The reference evaluator:
+    [test_codegen]'s [posargs] property checks the plan's positional
+    queries against it. *)
 
 type direction = In | Out | In_out
 
@@ -113,6 +115,4 @@ type api_spec = {
 }
 
 val find_fn : api_spec -> string -> fn_spec option
-val find_type : api_spec -> string -> type_spec option
 val find_constant : api_spec -> string -> int option
-val is_handle_type : api_spec -> ctype -> bool

@@ -87,8 +87,6 @@ let pp_spec ppf spec =
       Fmt.pf ppf "@.")
     spec.fns
 
-let spec_to_string spec = Fmt.str "%a" pp_spec spec
-
 (* The guidance report shown to the developer after inference. *)
 let pp_guidance ppf spec =
   let open Validate in

@@ -217,8 +217,6 @@ let fidelity_report spec =
       List.rev !notes)
     spec.fns
 
-let is_complete spec = check spec = []
-
 (* Developer guidance: everything inference could not answer, per
    function — the interactive part of the Figure 2 workflow. *)
 let guidance spec =

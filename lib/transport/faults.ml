@@ -139,6 +139,7 @@ let recv_hook t msg =
       t.stats.checksum_rejects <- t.stats.checksum_rejects + 1;
       None
 
+(* Fault one endpoint's sends and verify its receives. *)
 let wrap_endpoint t ep =
   Transport.set_send_hook ep (Some (send_hook t));
   Transport.set_recv_hook ep (Some (recv_hook t))
@@ -149,11 +150,3 @@ let wrap_endpoint t ep =
 let wrap t (a, b) =
   wrap_endpoint t a;
   wrap_endpoint t b
-
-let unwrap_endpoint ep =
-  Transport.set_send_hook ep None;
-  Transport.set_recv_hook ep None
-
-let unwrap (a, b) =
-  unwrap_endpoint a;
-  unwrap_endpoint b

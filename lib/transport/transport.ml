@@ -108,8 +108,6 @@ let set_doorbell ?(cfg = default_doorbell) ep =
         db_forced = 0;
       }
 
-let doorbell_armed ep = ep.doorbell <> None
-
 let db_counter f ep = match ep.doorbell with None -> 0 | Some db -> f db
 
 let db_notifies ep = db_counter (fun db -> db.db_notifies) ep

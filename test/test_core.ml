@@ -5,6 +5,7 @@
 module Transport = Ava_transport.Transport
 module Stub = Ava_remoting.Stub
 module Router = Ava_remoting.Router
+module Server = Ava_remoting.Server
 module Swap = Ava_remoting.Swap
 module Trace = Ava_sim.Trace
 
@@ -429,6 +430,65 @@ let isolation_tests =
             | _ -> Alcotest.fail "expected a rejection reply");
             Alcotest.(check int) "router counted it" 1
               (Router.rejected host.Host.router)));
+    Alcotest.test_case "never-created handle is rejected, not executed"
+      `Quick (fun () ->
+        run_in_engine (fun e ->
+            let host = Host.create_cl_host e in
+            let guest = Host.add_cl_vm host ~name:"g0" in
+            let module CL = (val guest.Host.g_api) in
+            let server = host.Host.server in
+            let executed = Server.executed server in
+            let rejected = Server.rejected server in
+            (* A virtual id no call ever minted. *)
+            (match CL.clGetContextInfo 0x7777 with
+            | Ok _ -> Alcotest.fail "queried a never-created context"
+            | Error _ -> ());
+            Alcotest.(check int) "rejected" (rejected + 1)
+              (Server.rejected server);
+            Alcotest.(check int) "not executed" executed
+              (Server.executed server)));
+    Alcotest.test_case "out-of-range event id fails before the enqueue"
+      `Quick (fun () ->
+        run_in_engine (fun e ->
+            let host = Host.create_cl_host e in
+            let guest = Host.add_cl_vm host ~name:"g0" in
+            let stub = Option.get guest.Host.g_stub in
+            let module CL = (val guest.Host.g_api) in
+            let p = List.hd (ok (CL.clGetPlatformIDs ())) in
+            let d = List.hd (ok (CL.clGetDeviceIDs p Device_gpu)) in
+            let ctx = ok (CL.clCreateContext [ d ]) in
+            let q = ok (CL.clCreateCommandQueue ctx d ~profiling:false) in
+            let m = ok (CL.clCreateBuffer ctx ~size:64) in
+            let vm_id = Ava_hv.Vm.id guest.Host.g_vm in
+            let bound () =
+              Server.Ctx.live
+                (Option.get (Server.vm_ctx host.Host.server ~vm_id))
+            in
+            let before = bound () in
+            (* A blocking write whose guest-assigned event id no native
+               int holds. *)
+            (match
+               Stub.invoke ~force_sync:true stub ~fn:"clEnqueueWriteBuffer"
+                 ~args:
+                   Codec.
+                     [
+                       h q; h m; i 1; i 0; i 64; b (Bytes.make 64 'x'); i 0;
+                       l []; Ava_remoting.Wire.Handle Int64.max_int;
+                     ]
+             with
+            | Ok (Some reply) ->
+                Alcotest.(check int) "bad arguments"
+                  Server.status_bad_arguments
+                  reply.Ava_remoting.Message.reply_status
+            | _ -> Alcotest.fail "expected a reply");
+            Alcotest.(check int) "no event bound" before (bound ());
+            let data, _ =
+              ok
+                (CL.clEnqueueReadBuffer q m ~blocking:true ~offset:0 ~size:64
+                   ~wait_list:[] ~want_event:false)
+            in
+            Alcotest.(check bool) "nothing written" false
+              (Bytes.exists (( = ) 'x') data)));
   ]
 
 let policy_tests =

@@ -192,8 +192,7 @@ let disarmed_tests =
         let b = bench "bfs" in
         let plain = timed_cl_run b.Rodinia.run in
         let f =
-          Devfault.create ~gpu:Devfault.gpu_none ~ncs:Devfault.ncs_none
-            ~seed:chaos_seed ()
+          Devfault.create ~gpu:Devfault.gpu_none ~seed:chaos_seed ()
         in
         let armed = timed_cl_run ~devfaults:f b.Rodinia.run in
         Alcotest.(check int) "identical virtual time" plain armed;
@@ -237,9 +236,7 @@ let disarmed_tests =
               Engine.now e)
         in
         let plain = run () in
-        let f =
-          Devfault.create ~ncs:Devfault.ncs_none ~seed:chaos_seed ()
-        in
+        let f = Devfault.create ~seed:chaos_seed () in
         let armed = run ~devfaults:f () in
         Alcotest.(check int) "identical virtual time" plain armed;
         Alcotest.(check int) "no unplugs drawn" 0 (Devfault.stats f).unplugs);

@@ -28,7 +28,7 @@ let time_tests =
         Alcotest.(check string) "us" "12.000us" (Time.to_string (Time.us 12));
         Alcotest.(check string)
           "ms" "3.500ms"
-          (Time.to_string (Time.of_float_ms 3.5)));
+          (Time.to_string (Time.us 3500)));
   ]
 
 let heap_tests =

@@ -148,6 +148,22 @@ let virtual_tests =
             match Q2.qaGetStats inst with
             | Ok _ -> Alcotest.fail "handle leaked across VMs"
             | Error _ -> ()));
+    Alcotest.test_case "out-of-range handle reply fails" `Quick (fun () ->
+        (* A fake qaStartInstance handler replies with a handle no native
+           int holds: the guest library fails the call instead of
+           handing back a wrapped id. *)
+        let module Server = Ava_remoting.Server in
+        let e = Engine.create () in
+        let plan = (Ava_core.Host.create_qa_host e).Ava_core.Host.qa_plan in
+        let guest_end, server_end = Ava_transport.Transport.direct e in
+        let server = Server.create e ~plan ~make_state:(fun ~vm_id:_ -> ()) in
+        Server.register server "qaStartInstance" (fun _ _ _ ->
+            (0, Ava_remoting.Wire.Handle Int64.max_int, []));
+        ignore (Server.attach_vm server ~vm_id:1 ~ep:server_end);
+        let stub = Ava_remoting.Stub.create e ~vm_id:1 ~plan ~ep:guest_end in
+        let module QA = (val Ava_core.Qa_remote.create stub) in
+        check_err "wrapped handle" Qa_fail
+          (Engine.run_process e (fun () -> QA.qaStartInstance ~index:0)));
   ]
 
 let callback_tests =

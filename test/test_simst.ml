@@ -254,6 +254,22 @@ let virtual_tests =
             Alcotest.(check bytes) "scores intact"
               (Ava_simst.Device.batch_scores ~batch ~item_size:4)
               (ok (ST.stBatchCollect s ~ticket ~size:64))));
+    Alcotest.test_case "out-of-range handle reply fails" `Quick (fun () ->
+        (* A fake stStreamCreate handler replies with a handle no native
+           int holds: the guest library fails the call instead of
+           handing back a wrapped id. *)
+        let module Server = Ava_remoting.Server in
+        let e = Engine.create () in
+        let plan = (Host.create_st_host e).Host.st_plan in
+        let guest_end, server_end = Ava_transport.Transport.direct e in
+        let server = Server.create e ~plan ~make_state:(fun ~vm_id:_ -> ()) in
+        Server.register server "stStreamCreate" (fun _ _ _ ->
+            (0, Ava_remoting.Wire.Handle Int64.max_int, []));
+        ignore (Server.attach_vm server ~vm_id:1 ~ep:server_end);
+        let stub = Ava_remoting.Stub.create e ~vm_id:1 ~plan ~ep:guest_end in
+        let module ST = (val St_remote.create stub) in
+        check_err "wrapped handle" St_fail
+          (Engine.run_process e (fun () -> ST.stStreamCreate ())));
   ]
 
 let pool_tests =
