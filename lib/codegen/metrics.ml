@@ -60,9 +60,6 @@ let annotation_lines ~(prelim : Ast.fn_spec) ~(refined : Ast.fn_spec) =
   let resource_lines = List.length refined.Ast.f_resources in
   param_lines + sync_lines + stream_lines + record_lines + resource_lines
 
-let count_lines s =
-  String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 0 s
-
 (* Build the report by re-running inference on the included header and
    diffing it against the refined spec. *)
 let analyze ~header_source ~spec_source (refined : Ast.api_spec) =
@@ -102,7 +99,7 @@ let analyze ~header_source ~spec_source (refined : Ast.api_spec) =
       List.fold_left (fun acc f -> acc + f.fe_questions) 0 per_fn;
     developer_lines =
       List.fold_left (fun acc f -> acc + f.fe_annotation_lines) 0 per_fn;
-    spec_lines = count_lines spec_source;
+    spec_lines = Emit_c.count_lines spec_source;
     generated_loc = artifacts.Emit_c.art_total_loc;
     per_fn;
   }

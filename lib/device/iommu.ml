@@ -41,7 +41,6 @@ type t = {
   table : (int64, mapping) Hashtbl.t;
   mutable next_iova : int64;
   mutable pinned_bytes : int;
-  mutable maps : int;
   mutable unmaps : int;
   mutable faults : int;
   mutable shootdowns : int;
@@ -57,7 +56,6 @@ let create ?(timing = Timing.default_iommu) engine =
     table = Hashtbl.create 64;
     next_iova = iova_base;
     pinned_bytes = 0;
-    maps = 0;
     unmaps = 0;
     faults = 0;
     shootdowns = 0;
@@ -67,8 +65,6 @@ let create ?(timing = Timing.default_iommu) engine =
 
 let engine t = t.engine
 let timing t = t.timing
-let regs t = t.regs
-let maps t = t.maps
 let unmaps t = t.unmaps
 let faults t = t.faults
 let shootdowns t = t.shootdowns
@@ -98,21 +94,8 @@ let map t data =
   Mmio.write t.regs ~addr:reg_map_size (Int64.of_int size);
   Hashtbl.replace t.table iova
     { mp_iova = iova; mp_data = data; mp_size = size; mp_faulted = false };
-  t.maps <- t.maps + 1;
   t.pinned_bytes <- t.pinned_bytes + (pages * page_size);
   iova
-
-(* Tear down one translation: IOTLB shootdown, then unpin. *)
-let unmap t iova =
-  match Hashtbl.find_opt t.table iova with
-  | None -> invalid_arg "Iommu.unmap: unknown IOVA"
-  | Some m ->
-      Engine.delay t.timing.Timing.shootdown_ns;
-      Mmio.write t.regs ~addr:reg_invalidate iova;
-      Hashtbl.remove t.table iova;
-      t.unmaps <- t.unmaps + 1;
-      t.shootdowns <- t.shootdowns + 1;
-      t.pinned_bytes <- t.pinned_bytes - (pages_of m.mp_size * page_size)
 
 (* Resolve a device access to a mapped region.  The first touch of each
    mapping misses the IOTLB and pays the IO-page-fault service cost;

@@ -1,7 +1,7 @@
 (* Memory-mapped register file.
 
-   The device exposes registers at integer addresses; writes can trigger
-   device-side hooks (doorbells).  Access *cost* is not charged here —
+   The device exposes registers at integer addresses.  Access *cost* is
+   not charged here —
    drivers go through a {!port}, whose implementation decides whether an
    access is a cheap native store or a trapped, emulated one.  This split
    is what lets pass-through, full-virtualization and API remoting share
@@ -11,26 +11,20 @@ open Ava_sim
 
 type t = {
   regs : (int, int64) Hashtbl.t;
-  hooks : (int, int64 -> unit) Hashtbl.t;
   mutable writes : int;
   mutable reads : int;
 }
 
 let create () =
-  { regs = Hashtbl.create 16; hooks = Hashtbl.create 16; writes = 0; reads = 0 }
+  { regs = Hashtbl.create 16; writes = 0; reads = 0 }
 
 let write t ~addr v =
   t.writes <- t.writes + 1;
-  Hashtbl.replace t.regs addr v;
-  match Hashtbl.find_opt t.hooks addr with
-  | Some hook -> hook v
-  | None -> ()
+  Hashtbl.replace t.regs addr v
 
 let read t ~addr =
   t.reads <- t.reads + 1;
   Option.value ~default:0L (Hashtbl.find_opt t.regs addr)
-
-let on_write t ~addr hook = Hashtbl.replace t.hooks addr hook
 
 let access_count t = t.writes + t.reads
 let write_count t = t.writes

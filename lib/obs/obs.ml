@@ -278,8 +278,6 @@ let raw_totals t =
   |> List.sort (fun ((v1, f1), _) ((v2, f2), _) ->
          match Stdlib.compare v1 v2 with 0 -> String.compare f1 f2 | c -> c)
 
-let totals t = List.map (fun (k, h) -> (k, Hist.summary h)) (raw_totals t)
-
 (* Merged across VMs and APIs: one summary per phase, in pipeline
    order — the shape the bench JSON and the report table want. *)
 let phase_summaries t =

@@ -111,9 +111,6 @@ val raw_series : t -> ((int * string * phase) * Hist.t) list
 (** Same order as {!series} but exposing the live histograms, for
     exporters that need bucket counts. *)
 
-val totals : t -> ((int * string) * Hist.summary) list
-(** Per-(vm, api) end-to-end summaries, deterministically sorted. *)
-
 val raw_totals : t -> ((int * string) * Hist.t) list
 
 val phase_summaries : t -> (phase * Hist.summary) list
