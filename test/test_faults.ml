@@ -58,7 +58,7 @@ let injection_tests =
   [
     Alcotest.test_case "drop_p=1 loses everything" `Quick (fun () ->
         let e = Engine.create () in
-        let a, b = Transport.shm_ring e ~virt in
+        let a, b = Transport.make Transport.Shm_ring e ~virt in
         let f = Faults.create ~seed:7L { Faults.none with drop_p = 1.0 } in
         Faults.wrap f (a, b);
         Engine.spawn e (fun () ->
@@ -72,7 +72,7 @@ let injection_tests =
     Alcotest.test_case "corrupt_p=1: every frame caught on receive" `Quick
       (fun () ->
         let e = Engine.create () in
-        let a, b = Transport.shm_ring e ~virt in
+        let a, b = Transport.make Transport.Shm_ring e ~virt in
         let f = Faults.create ~seed:9L { Faults.none with corrupt_p = 1.0 } in
         Faults.wrap f (a, b);
         Engine.spawn e (fun () ->
@@ -88,7 +88,7 @@ let injection_tests =
           s.Faults.checksum_rejects);
     Alcotest.test_case "duplicate_p=1 delivers twice" `Quick (fun () ->
         let e = Engine.create () in
-        let a, b = Transport.shm_ring e ~virt in
+        let a, b = Transport.make Transport.Shm_ring e ~virt in
         let f =
           Faults.create ~seed:11L { Faults.none with duplicate_p = 1.0 }
         in
@@ -105,7 +105,7 @@ let injection_tests =
         Alcotest.(check int) "counted" 1 (Faults.stats f).Faults.duplicated);
     Alcotest.test_case "delays never reorder the link" `Quick (fun () ->
         let e = Engine.create () in
-        let a, b = Transport.shm_ring e ~virt in
+        let a, b = Transport.make Transport.Shm_ring e ~virt in
         let f =
           Faults.create ~seed:13L
             {
@@ -290,7 +290,7 @@ let doorbell_tests =
           [ Time.ns 800; Time.us 5 ]);
     Alcotest.test_case "kick flushes the whole batch at once" `Quick (fun () ->
         let e = Engine.create () in
-        let a, b = Transport.shm_ring e ~virt in
+        let a, b = Transport.make Transport.Shm_ring e ~virt in
         Transport.set_doorbell ~cfg:(db_cfg ()) a;
         Engine.spawn e (fun () ->
             Transport.send a (Bytes.of_string "q1");
@@ -312,7 +312,7 @@ let doorbell_tests =
         Alcotest.(check int) "all three delivered" 3 drained);
     Alcotest.test_case "batch cap forces a flush" `Quick (fun () ->
         let e = Engine.create () in
-        let a, _b = Transport.shm_ring e ~virt in
+        let a, _b = Transport.make Transport.Shm_ring e ~virt in
         Transport.set_doorbell ~cfg:(db_cfg ~batch:3 ~poll:0 ()) a;
         Engine.spawn e (fun () ->
             for i = 1 to 3 do
@@ -325,7 +325,7 @@ let doorbell_tests =
     Alcotest.test_case "sends in the poll window ride along, no notify"
       `Quick (fun () ->
         let e = Engine.create () in
-        let a, _b = Transport.shm_ring e ~virt in
+        let a, _b = Transport.make Transport.Shm_ring e ~virt in
         Transport.set_doorbell ~cfg:(db_cfg ()) a;
         Engine.spawn e (fun () ->
             (* First send pays the notify; the drain plus the 25 us poll
@@ -342,7 +342,7 @@ let doorbell_tests =
     Alcotest.test_case "poll window expiry re-arms the interrupt" `Quick
       (fun () ->
         let e = Engine.create () in
-        let a, _b = Transport.shm_ring e ~virt in
+        let a, _b = Transport.make Transport.Shm_ring e ~virt in
         Transport.set_doorbell ~cfg:(db_cfg ~poll:(Time.us 25) ()) a;
         Engine.spawn e (fun () ->
             Transport.send ~kick:true a (Bytes.of_string "head");
@@ -357,7 +357,7 @@ let doorbell_tests =
     Alcotest.test_case "peer reply traffic refreshes the poll window" `Quick
       (fun () ->
         let e = Engine.create () in
-        let a, b = Transport.shm_ring e ~virt in
+        let a, b = Transport.make Transport.Shm_ring e ~virt in
         Transport.set_doorbell ~cfg:(db_cfg ~poll:(Time.us 25) ()) a;
         Engine.spawn e (fun () ->
             Transport.send ~kick:true a (Bytes.of_string "req");
@@ -380,7 +380,7 @@ let doorbell_tests =
            time exactly as the historical eager path. *)
         let run arm =
           let e = Engine.create () in
-          let a, b = Transport.shm_ring e ~virt in
+          let a, b = Transport.make Transport.Shm_ring e ~virt in
           if arm then Transport.set_doorbell ~cfg:(db_cfg ()) b;
           let finished = ref 0 in
           Engine.spawn e (fun () ->
